@@ -323,23 +323,6 @@ fn bench_service_smoke() -> f64 {
     bench(1, 3, || service(&cfg, 7).completed)
 }
 
-/// The same smoke-sized service day at hybrid fidelity: overlay flows
-/// exact, direct-path mass settled analytically. The ratio against
-/// `service_smoke` is the full-scale hybrid speedup.
-fn bench_service_smoke_hybrid() -> f64 {
-    let mut cfg = ServiceConfig::smoke();
-    cfg.fidelity = Fidelity::Hybrid;
-    bench(5, 5, || service(&cfg, 7).completed)
-}
-
-/// The smoke-sized chaos day at hybrid fidelity (fault nemesis, kills,
-/// retries, incremental route repair and invariants all active).
-fn bench_chaos_smoke_hybrid() -> f64 {
-    let mut cfg = ChaosConfig::smoke();
-    cfg.service.fidelity = Fidelity::Hybrid;
-    bench(5, 5, || chaos(&cfg, 7).completed)
-}
-
 /// One epoch barrier of the sharded control plane's round engine: 64
 /// trivial shards exchanging one ring message per round for 50 rounds —
 /// the pure synchronization overhead (mailbox routing + barrier) the
@@ -531,7 +514,6 @@ fn main() {
         ("span_emit_enabled", bench_span_emit_enabled()),
         ("broker_decision", bench_broker_decision()),
         ("service_smoke", bench_service_smoke()),
-        ("service_smoke_hybrid", bench_service_smoke_hybrid()),
         ("shard_barrier_epoch", bench_shard_barrier()),
         ("service_smoke_sharded", bench_service_smoke_sharded()),
         ("service_full_10m", bench_service_full_10m()),
@@ -548,7 +530,6 @@ fn main() {
         ("multihop_smoke", bench_multihop_smoke()),
         ("fault_inject", bench_fault_inject()),
         ("chaos_smoke", bench_chaos_smoke()),
-        ("chaos_smoke_hybrid", bench_chaos_smoke_hybrid()),
         ("fuzz_iter", bench_fuzz_iter()),
         ("soak_smoke", bench_soak_smoke()),
         ("report_smoke", bench_report_smoke()),

@@ -285,12 +285,6 @@ impl Broker {
         });
     }
 
-    /// Whether the multihop bandit policy is active.
-    #[must_use]
-    pub fn is_multihop(&self) -> bool {
-        self.multihop.is_some()
-    }
-
     /// The candidate chains enumerated for `pair` (multihop only).
     #[must_use]
     pub fn path_candidates(&self, pair: usize) -> &[Candidate] {

@@ -147,6 +147,12 @@ impl SloAccount {
         self.tenants.iter().map(|t| t.completed).sum()
     }
 
+    /// Total denials across tenants.
+    #[must_use]
+    pub fn denied(&self) -> u64 {
+        self.tenants.iter().map(|t| t.denied).sum()
+    }
+
     /// Total violations across tenants.
     #[must_use]
     pub fn violations(&self) -> u64 {

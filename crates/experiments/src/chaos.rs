@@ -10,31 +10,27 @@
 //! the autoscaler replaces dead relays under the same budget, killed
 //! flows fail over and finish).
 //!
-//! Every fault event rides the same [`simcore::EventQueue`] as flow
-//! arrivals and completions, so the interleaving — and therefore the
-//! whole run — is a pure function of `(config, seed)` at any
-//! `--threads N`.
+//! The run is the service's own event loop ([`crate::service`]) with the
+//! schedule as an extra input: every fault event rides the same
+//! [`simcore::EventQueue`] as flow arrivals and completions, so the
+//! interleaving — and therefore the whole run — is a pure function of
+//! `(config, seed)` at any `--threads N`. Under an empty schedule the
+//! run reproduces plain `service` exactly.
 //!
 //! A [`faults::Invariants`] checker watches the full run and the report
 //! carries its verdict: no double billing, no flows on unavailable
 //! relays, byte conservation across kill/retry segments, and bounded
 //! recovery.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
-use control::{Broker, Decision, Fleet, PathsPolicy, RelayState, SloAccount};
-use cronets::select::{achieved, PathChoice};
-use faults::{FaultConfig, FaultKind, FaultSchedule, Invariants, Violation};
-use paths::{relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops};
-use simcore::{EventHandle, EventQueue, SimDuration, SimTime};
-use topology::{LinkId, RouterId};
-
-use obs::SpanKind;
+use control::SloAccount;
+use faults::{FaultConfig, FaultKind, FaultSchedule, Violation};
+use simcore::{SimDuration, SimTime};
 
 use crate::attribution::Attribution;
-use crate::scenario::World;
-use crate::service::{completion_time, epoch_truth, pair_of, ServiceConfig};
+use crate::service::{ServiceConfig, ServiceLoop};
 
 /// Full configuration of a chaos run: the service plus its nemesis.
 #[derive(Debug, Clone)]
@@ -126,7 +122,7 @@ impl ChaosConfig {
 }
 
 /// One epoch's aggregate activity (a row of `results/chaos.tsv`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosRow {
     /// Epoch index.
     pub epoch: u32,
@@ -299,64 +295,6 @@ impl fmt::Display for ChaosReport {
     }
 }
 
-/// A flow-level or fault discrete event.
-enum Ev {
-    /// Arrival `idx` of `epoch` reaches the broker.
-    Arrive { epoch: u32, idx: u32 },
-    /// A killed flow's failure detection fires; it re-enters the broker.
-    Retry { flow: u64 },
-    /// An admitted flow segment finishes.
-    Complete { flow: u64 },
-    /// Scheduled fault `idx` of the [`FaultSchedule`] injects.
-    Fault { idx: u32 },
-}
-
-impl Ev {
-    /// Static handler-kind label for the sim-time profiler.
-    fn label(&self) -> &'static str {
-        match self {
-            Ev::Arrive { .. } => "arrive",
-            Ev::Retry { .. } => "retry",
-            Ev::Complete { .. } => "complete",
-            Ev::Fault { .. } => "fault",
-        }
-    }
-}
-
-/// An admitted, in-flight flow segment (cancellable on relay crash).
-struct InFlight {
-    tenant: u32,
-    /// The relay chain this segment rides (empty for direct; one node
-    /// for the classic overlay; up to three under `--paths multihop`).
-    hops: Hops,
-    /// Achieved/direct ratio of this segment (ground truth at admission).
-    ratio: f64,
-    /// Original request time: SLO completion latency spans kills and
-    /// retries.
-    issued: SimTime,
-    /// When this segment was admitted.
-    started: SimTime,
-    /// Bytes this segment carries.
-    bytes: u64,
-    /// Scheduled completion instant.
-    done_at: SimTime,
-    handle: EventHandle,
-    /// The admit span of this segment (completion spans hang off it).
-    span: u64,
-}
-
-/// A killed flow waiting for its failure detection to fire.
-struct PendingRetry {
-    tenant: u32,
-    pair: usize,
-    bytes_left: u64,
-    issued: SimTime,
-    crashed_at: SimTime,
-    /// The kill span (the retry span hangs off it, keeping the chain
-    /// back to the causing fault intact).
-    kill_span: u64,
-}
-
 /// Per-epoch relay availability from the schedule's crash windows:
 /// `1 - downtime / (relays × epoch)`.
 pub(crate) fn availability_by_epoch(schedule: &FaultSchedule, cfg: &ChaosConfig) -> Vec<f64> {
@@ -388,14 +326,6 @@ pub(crate) fn availability_by_epoch(schedule: &FaultSchedule, cfg: &ChaosConfig)
     down.iter().map(|d| 1.0 - d / (relays * epoch)).collect()
 }
 
-/// Mirrors the fleet's slot states into the invariant checker so
-/// admission checks see exactly what the fleet sees.
-pub(crate) fn sync_states(inv: &mut Invariants, fleet: &Fleet, relays: usize) {
-    for i in 0..relays {
-        inv.set_relay_state(i, fleet.relay_state(i));
-    }
-}
-
 /// Runs the chaos loop. Deterministic in `(cfg, seed)` at any thread
 /// count.
 ///
@@ -406,14 +336,6 @@ pub(crate) fn sync_states(inv: &mut Invariants, fleet: &Fleet, relays: usize) {
 /// [`crate::service::service`]'s requirements).
 #[must_use]
 pub fn chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
-    if cfg.service.fidelity != transport::Fidelity::Des {
-        assert_eq!(
-            cfg.service.paths,
-            PathsPolicy::OneHop,
-            "multihop paths require DES fidelity (chains have no analytic shortcut)"
-        );
-        return crate::hybrid::chaos_hybrid(cfg, seed);
-    }
     // The nemesis: generated up front, pure in (cfg.faults, seed).
     let schedule = FaultSchedule::generate(&cfg.faults, seed);
     chaos_with_schedule(cfg, seed, &schedule)
@@ -427,8 +349,7 @@ pub fn chaos(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
 ///
 /// # Panics
 ///
-/// Panics on an inconsistent configuration (see [`chaos`]), a non-DES
-/// fidelity (schedule injection has no hybrid shortcut), an event at
+/// Panics on an inconsistent configuration (see [`chaos`]), an event at
 /// or past the workload horizon, or a relay index outside the fleet.
 #[must_use]
 pub fn chaos_with_schedule(cfg: &ChaosConfig, seed: u64, schedule: &FaultSchedule) -> ChaosReport {
@@ -447,14 +368,9 @@ pub(crate) fn chaos_with_schedule_prefixed(
     schedule: &FaultSchedule,
     prefix: &str,
 ) -> ChaosReport {
-    assert_eq!(
-        cfg.service.fidelity,
-        transport::Fidelity::Des,
-        "schedule injection requires DES fidelity"
-    );
-    let check_horizon = SimTime::ZERO + cfg.service.workload.horizon();
+    let horizon = SimTime::ZERO + cfg.service.workload.horizon();
     for e in schedule.events() {
-        assert!(e.at < check_horizon, "schedule event at/past the horizon");
+        assert!(e.at < horizon, "schedule event at/past the horizon");
         match e.kind {
             FaultKind::RelayCrash { relay } | FaultKind::RelayRestore { relay } => {
                 assert!(relay < cfg.faults.relays, "schedule names relay {relay}");
@@ -462,786 +378,33 @@ pub(crate) fn chaos_with_schedule_prefixed(
             _ => {}
         }
     }
+    assert_eq!(
+        cfg.faults.relays, cfg.service.fleet.relays,
+        "fault schedule must cover exactly the fleet's slots"
+    );
+    assert_eq!(
+        cfg.faults.horizon,
+        cfg.service.workload.horizon(),
+        "fault schedule horizon must match the workload day"
+    );
     // Span recording is always on for a chaos run — fault attribution
     // needs the causal stream even in plain runs without `--metrics`.
     // The caller's flag is restored before returning.
     let was_recording = obs::span_recording();
     obs::reset_spans();
     obs::set_span_recording(true);
-    let mut spans: Vec<obs::SpanRecord> = Vec::new();
-    let mut span_dropped: u64 = 0;
-    let profiling = simcore::profile::enabled();
-    let mut prof_last = SimTime::ZERO;
-
-    let svc = &cfg.service;
-    assert!(svc.probe_every >= 1, "probe_every must be at least 1");
-    assert_eq!(
-        svc.workload.tenants as usize,
-        svc.slo.len(),
-        "one SLO target per tenant"
-    );
-    assert_eq!(
-        cfg.faults.relays, svc.fleet.relays,
-        "fault schedule must cover exactly the fleet's slots"
-    );
-    assert_eq!(
-        cfg.faults.horizon,
-        svc.workload.horizon(),
-        "fault schedule horizon must match the workload day"
-    );
-    let mut world = World::build(&svc.scenario, seed);
-    assert_eq!(
-        svc.fleet.relays,
-        world.cronet.nodes().len(),
-        "fleet slots must match the scenario's overlay nodes"
-    );
-    let relays = svc.fleet.relays;
-
-    let (mut cache, pairs) = crate::service::prefetched_pairs(&world);
-
-    // Multihop policy: fix each pair's candidate chains once (static
-    // pruning keeps arm indices stable for the bandits' whole run) and
-    // warm the relay-mesh legs the chains ride on.
-    let multihop = svc.paths == PathsPolicy::MultiHop;
-    let mut cands: Vec<Vec<Candidate>> = Vec::new();
-    if multihop {
-        let mesh: Vec<(RouterId, RouterId)> = world
-            .cronet
-            .nodes()
-            .iter()
-            .flat_map(|a| {
-                world
-                    .cronet
-                    .nodes()
-                    .iter()
-                    .filter(move |b| b.vm() != a.vm())
-                    .map(move |b| (a.vm(), b.vm()))
-            })
-            .collect();
-        cache.prefetch(&world.net, &mesh);
-        let ecfg = EnumerateConfig::khops(svc.khops);
-        let hop_price = relay_hop_price_per_gb(svc.fleet.port, svc.fleet.plan);
-        let (net, nodes) = (&world.net, world.cronet.nodes());
-        let shared = &cache;
-        cands = exec::parallel_map(pairs.len(), |pi| {
-            let (s, c) = pairs[pi];
-            paths::enumerate(net, shared, nodes, s, c, &ecfg, hop_price)
-        });
-    }
-
-    // Candidate victims for link degradation: every inter-AS link, in
-    // id order (deterministic; the schedule's salt picks modulo this).
-    let flap_victims: Vec<LinkId> = world
-        .net
-        .links()
-        .filter(|l| l.kind().is_inter_as())
-        .map(|l| l.id())
-        .collect();
-
-    let epochs = svc.workload.epochs;
-    let arrivals_by_epoch = exec::parallel_map(epochs as usize, |e| {
-        svc.workload.epoch_arrivals(seed, e as u32)
-    });
-    let total_arrivals: u64 = arrivals_by_epoch.iter().map(|a| a.len() as u64).sum();
-
-    // The nemesis is scheduled before any flow so queue order is fully
-    // deterministic.
-    let availability = availability_by_epoch(schedule, cfg);
-
-    let mut broker = Broker::new(svc.broker);
-    if multihop {
-        broker.enable_multihop(cands.clone(), BanditConfig::service(), seed);
-    }
-    let mut fleet = Fleet::new(svc.fleet);
-    let mut slo = SloAccount::new(svc.slo.clone());
-    let mut inv = Invariants::new(relays, schedule.mttr_cap());
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for (i, ev) in schedule.events().iter().enumerate() {
-        queue.schedule(ev.at, Ev::Fault { idx: i as u32 });
-    }
-
-    let mut in_flight: HashMap<u64, InFlight> = HashMap::new();
-    // Flows currently riding each relay, ascending id: crash kill order
-    // is deterministic.
-    let mut relay_flows: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); relays];
-    let mut pending_retry: HashMap<u64, PendingRetry> = HashMap::new();
-    // Open link-degradation windows: salt → (victim, severity floor).
-    let mut degraded: BTreeMap<u64, (LinkId, f64)> = BTreeMap::new();
-    let mut blackhole_depth: u32 = 0;
-
-    let mut rows = Vec::with_capacity(epochs as usize);
-    let mut billed_to = SimTime::ZERO;
-    let horizon = SimTime::ZERO + svc.workload.horizon();
-    let mut completed_total: u64 = 0;
-    let mut killed_total: u64 = 0;
-    let mut retries_total: u64 = 0;
-
-    // Per-epoch accumulators (reset each epoch).
-    let mut ep_killed: u64 = 0;
-    let mut ep_retries: u64 = 0;
-    let mut ep_failover_ns: u128 = 0;
-    let mut ep_failover_n: u64 = 0;
-    let mut ep_ratio_sum: f64 = 0.0;
-    let mut ep_ratio_n: u64 = 0;
-
-    let mut truth = Vec::new();
-    let mut ptruth: Vec<Vec<ArmEval>> = Vec::new();
-    for e in 0..epochs {
-        if e > 0 {
-            world.step_epoch(u64::from(e));
-        }
-        // Re-impose open degradation windows after the epoch's
-        // congestion step: the nemesis holds its floor.
-        for &(link, severity) in degraded.values() {
-            let l = world.net.link_mut(link);
-            l.set_level(l.level().max(severity));
-        }
-        let epoch_start = SimTime::ZERO + svc.workload.epoch * u64::from(e);
-        let epoch_end = epoch_start + svc.workload.epoch;
-        truth = if multihop {
-            Vec::new()
-        } else {
-            epoch_truth(&world, &cache, &pairs)
-        };
-        // Multihop ground truth: one work unit per pair scoring that
-        // pair's fixed arms under the current (degraded) network state.
-        ptruth = if multihop {
-            let net = &world.net;
-            let params = *world.cronet.params();
-            let tunnel = world.cronet.tunnel();
-            let nodes = world.cronet.nodes();
-            let (shared, arms) = (&cache, &cands);
-            exec::parallel_map(pairs.len(), |pi| {
-                let (s, c) = pairs[pi];
-                paths::evaluate(net, shared, nodes, s, c, tunnel, &params, &arms[pi])
-            })
-        } else {
-            Vec::new()
-        };
-        // Probe refresh — unless the refresh traffic is blackholed.
-        // Under multihop the flat cadence gives way to the bandits'
-        // budgeted, uncertainty-driven refresh (epoch 0 seeds all arms);
-        // a blackhole starves the bandits of probes the same way it
-        // starves the probe cache.
-        if multihop {
-            if e == 0 {
-                for (pi, pt) in ptruth.iter().enumerate() {
-                    broker.seed_paths(pi, pt);
-                }
-            } else if blackhole_depth == 0 {
-                for (pi, pt) in ptruth.iter().enumerate() {
-                    broker.probe_paths(pi, pt);
-                }
-            }
-        } else if e % svc.probe_every == 0 && blackhole_depth == 0 {
-            for (pi, &(s, c)) in pairs.iter().enumerate() {
-                broker.observe(s, c, epoch_start, truth[pi].clone());
-            }
-        }
-        for (i, req) in arrivals_by_epoch[e as usize].iter().enumerate() {
-            queue.schedule(
-                req.at,
-                Ev::Arrive {
-                    epoch: e,
-                    idx: i as u32,
-                },
-            );
-        }
-
-        let b0 = broker.stats();
-        let (done0, viol0) = (slo.completed(), slo.violations());
-
-        while let Some((now, ev)) = queue.pop_before(epoch_end) {
-            if profiling {
-                simcore::profile::leaf(&["chaos", ev.label()], (now - prof_last).as_nanos());
-                prof_last = now;
-            }
-            match ev {
-                Ev::Arrive { epoch, idx } => {
-                    let req = &arrivals_by_epoch[epoch as usize][idx as usize];
-                    let pi = pair_of(req.client, pairs.len());
-                    let arrive = obs::span(
-                        now.as_nanos(),
-                        0,
-                        SpanKind::FlowArrive,
-                        req.id,
-                        u64::from(req.tenant),
-                        req.bytes,
-                    );
-                    inv.context(now, arrive);
-                    inv.flow_requested(req.id, req.bytes);
-                    admit(
-                        req.id,
-                        req.tenant,
-                        pi,
-                        req.bytes,
-                        now,
-                        now,
-                        arrive,
-                        &pairs,
-                        &truth,
-                        &ptruth,
-                        &mut broker,
-                        &mut fleet,
-                        &mut slo,
-                        &mut inv,
-                        &mut queue,
-                        &mut in_flight,
-                        &mut relay_flows,
-                    );
-                }
-                Ev::Retry { flow } => {
-                    let p = pending_retry.remove(&flow).expect("retry without kill");
-                    ep_retries += 1;
-                    retries_total += 1;
-                    ep_failover_ns += u128::from((now - p.crashed_at).as_nanos());
-                    ep_failover_n += 1;
-                    let retry = obs::span(
-                        now.as_nanos(),
-                        p.kill_span,
-                        SpanKind::FlowRetry,
-                        flow,
-                        p.bytes_left,
-                        0,
-                    );
-                    admit(
-                        flow,
-                        p.tenant,
-                        p.pair,
-                        p.bytes_left,
-                        p.issued,
-                        now,
-                        retry,
-                        &pairs,
-                        &truth,
-                        &ptruth,
-                        &mut broker,
-                        &mut fleet,
-                        &mut slo,
-                        &mut inv,
-                        &mut queue,
-                        &mut in_flight,
-                        &mut relay_flows,
-                    );
-                }
-                Ev::Complete { flow } => {
-                    let fl = in_flight
-                        .remove(&flow)
-                        .expect("completion without admission");
-                    if !fl.hops.is_empty() {
-                        fleet.accrue(now.min(horizon).saturating_duration_since(billed_to));
-                        billed_to = now.min(horizon).max(billed_to);
-                        for r in fl.hops.iter() {
-                            fleet.flow_finished(r);
-                            relay_flows[r].remove(&flow);
-                        }
-                    }
-                    let done = obs::span(
-                        now.as_nanos(),
-                        fl.span,
-                        SpanKind::FlowComplete,
-                        flow,
-                        (now - fl.issued).as_nanos(),
-                        fl.bytes,
-                    );
-                    let breach = slo.record_completion(fl.tenant, fl.ratio, now - fl.issued);
-                    if breach.any() {
-                        obs::span(
-                            now.as_nanos(),
-                            done,
-                            SpanKind::SloBreach,
-                            flow,
-                            u64::from(fl.tenant),
-                            breach.mask(),
-                        );
-                    }
-                    inv.context(now, done);
-                    inv.flow_completed(flow, fl.bytes);
-                    completed_total += 1;
-                    ep_ratio_sum += fl.ratio;
-                    ep_ratio_n += 1;
-                }
-                Ev::Fault { idx } => {
-                    let fault = schedule.events()[idx as usize];
-                    obs::trace(
-                        now.as_nanos(),
-                        0,
-                        obs::TraceKind::FaultInjected,
-                        fault.kind.discriminant(),
-                        fault.kind.target(),
-                    );
-                    let fault_span = obs::span(
-                        now.as_nanos(),
-                        0,
-                        SpanKind::FaultInject,
-                        u64::from(idx),
-                        fault.kind.discriminant(),
-                        fault.kind.target(),
-                    );
-                    inv.context(now, fault_span);
-                    match fault.kind {
-                        FaultKind::RelayCrash { relay } => {
-                            // Rent accrues up to the crash; a dead VM
-                            // bills nothing from here on.
-                            fleet.accrue(now.saturating_duration_since(billed_to));
-                            billed_to = now.max(billed_to);
-                            let killed_flows = fleet.crash(relay);
-                            inv.relay_crashed(relay, now);
-                            let victims: Vec<u64> = relay_flows[relay].iter().copied().collect();
-                            debug_assert_eq!(killed_flows as usize, victims.len());
-                            relay_flows[relay].clear();
-                            for flow in victims {
-                                let fl = in_flight.remove(&flow).expect("tracked flow");
-                                assert!(queue.cancel(fl.handle), "completion already fired");
-                                // A mid-chain kill also releases the
-                                // surviving legs: their meters stop and
-                                // they drop the flow (the crashed leg
-                                // was cleared wholesale above).
-                                for r in fl.hops.iter().filter(|&r| r != relay) {
-                                    fleet.flow_finished(r);
-                                    relay_flows[r].remove(&flow);
-                                }
-                                // Bytes already on the wire when the VM
-                                // died: pro-rata over the segment.
-                                let total = (fl.done_at - fl.started).as_nanos().max(1);
-                                let elapsed = (now - fl.started).as_nanos();
-                                let delivered = ((u128::from(fl.bytes) * u128::from(elapsed))
-                                    / u128::from(total))
-                                    as u64;
-                                let kill = obs::span(
-                                    now.as_nanos(),
-                                    fault_span,
-                                    SpanKind::FlowKill,
-                                    flow,
-                                    fl.bytes - delivered,
-                                    relay as u64,
-                                );
-                                inv.context(now, kill);
-                                inv.flow_killed(flow, delivered);
-                                killed_total += 1;
-                                ep_killed += 1;
-                                pending_retry.insert(
-                                    flow,
-                                    PendingRetry {
-                                        tenant: fl.tenant,
-                                        pair: pair_for_retry(flow, &arrivals_by_epoch, &pairs),
-                                        bytes_left: fl.bytes - delivered,
-                                        issued: fl.issued,
-                                        crashed_at: now,
-                                        kill_span: kill,
-                                    },
-                                );
-                                queue.schedule(now + cfg.detect_after, Ev::Retry { flow });
-                            }
-                        }
-                        FaultKind::RelayRestore { relay } => {
-                            fleet.restore(relay);
-                            inv.relay_restored(relay, now);
-                        }
-                        FaultKind::LinkDegrade { salt, severity } => {
-                            if !flap_victims.is_empty() {
-                                let link =
-                                    flap_victims[(salt % flap_victims.len() as u64) as usize];
-                                degraded.insert(salt, (link, severity));
-                                let l = world.net.link_mut(link);
-                                l.set_level(l.level().max(severity));
-                            }
-                        }
-                        FaultKind::LinkClear { salt } => {
-                            degraded.remove(&salt);
-                        }
-                        FaultKind::ProbeBlackholeStart => blackhole_depth += 1,
-                        FaultKind::ProbeBlackholeEnd => blackhole_depth -= 1,
-                        FaultKind::CachePoison { age } => {
-                            if multihop {
-                                // The bandits' analogue of a poisoned
-                                // probe cache: confidence is forgotten,
-                                // so the next refreshes re-explore.
-                                broker.poison_paths();
-                            } else {
-                                broker.age_probes(age);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        fleet.accrue(epoch_end.saturating_duration_since(billed_to));
-        billed_to = epoch_end;
-        sync_states(&mut inv, &fleet, relays);
-        let fs0 = fleet.stats();
-        fleet.rebalance(horizon - epoch_end);
-        let fs1 = fleet.stats();
-        if fs1.scale_ups != fs0.scale_ups || fs1.drains != fs0.drains {
-            obs::span(
-                epoch_end.as_nanos(),
-                0,
-                SpanKind::FleetScale,
-                u64::from(e),
-                fs1.scale_ups - fs0.scale_ups,
-                fs1.drains - fs0.drains,
-            );
-        }
-
-        let b1 = broker.stats();
-        rows.push(ChaosRow {
-            epoch: e,
-            arrivals: arrivals_by_epoch[e as usize].len() as u64,
-            retries: ep_retries,
-            overlay: b1.overlay - b0.overlay,
-            direct: b1.direct - b0.direct,
-            denied: b1.denied - b0.denied,
-            stale: b1.stale_fallback - b0.stale_fallback,
-            completed: slo.completed() - done0,
-            killed: ep_killed,
-            violations: slo.violations() - viol0,
-            active: fleet.active(),
-            failed: fleet.failed(),
-            availability: availability[e as usize],
-            failover_ms: if ep_failover_n == 0 {
-                0.0
-            } else {
-                ep_failover_ns as f64 / ep_failover_n as f64 / 1e6
-            },
-            goodput_ratio: if ep_ratio_n == 0 {
-                1.0
-            } else {
-                ep_ratio_sum / ep_ratio_n as f64
-            },
-            spend_usd: fleet.spend_usd(),
-        });
-        ep_killed = 0;
-        ep_retries = 0;
-        ep_failover_ns = 0;
-        ep_failover_n = 0;
-        ep_ratio_sum = 0.0;
-        ep_ratio_n = 0;
-
-        // Drain the bounded ring every epoch so a full day's spans never
-        // overwrite each other.
-        let (drained, dropped) = obs::drain_spans();
-        spans.extend(drained);
-        span_dropped += dropped;
-    }
-
-    // Tail: completions and late retries after the horizon. All faults
-    // lie strictly inside the horizon, so only flow events remain.
-    while let Some((now, ev)) = queue.pop() {
-        if profiling {
-            simcore::profile::leaf(&["chaos", ev.label()], (now - prof_last).as_nanos());
-            prof_last = now;
-        }
-        match ev {
-            Ev::Arrive { .. } => unreachable!("arrivals all lie inside the horizon"),
-            Ev::Fault { .. } => unreachable!("fault schedules end before the horizon"),
-            Ev::Retry { flow } => {
-                let p = pending_retry.remove(&flow).expect("retry without kill");
-                retries_total += 1;
-                let retry = obs::span(
-                    now.as_nanos(),
-                    p.kill_span,
-                    SpanKind::FlowRetry,
-                    flow,
-                    p.bytes_left,
-                    0,
-                );
-                admit(
-                    flow,
-                    p.tenant,
-                    p.pair,
-                    p.bytes_left,
-                    p.issued,
-                    now,
-                    retry,
-                    &pairs,
-                    &truth,
-                    &ptruth,
-                    &mut broker,
-                    &mut fleet,
-                    &mut slo,
-                    &mut inv,
-                    &mut queue,
-                    &mut in_flight,
-                    &mut relay_flows,
-                );
-            }
-            Ev::Complete { flow } => {
-                let fl = in_flight
-                    .remove(&flow)
-                    .expect("completion without admission");
-                for r in fl.hops.iter() {
-                    fleet.flow_finished(r);
-                    relay_flows[r].remove(&flow);
-                }
-                let done = obs::span(
-                    now.as_nanos(),
-                    fl.span,
-                    SpanKind::FlowComplete,
-                    flow,
-                    (now - fl.issued).as_nanos(),
-                    fl.bytes,
-                );
-                let breach = slo.record_completion(fl.tenant, fl.ratio, now - fl.issued);
-                if breach.any() {
-                    obs::span(
-                        now.as_nanos(),
-                        done,
-                        SpanKind::SloBreach,
-                        flow,
-                        u64::from(fl.tenant),
-                        breach.mask(),
-                    );
-                }
-                inv.context(now, done);
-                inv.flow_completed(flow, fl.bytes);
-                completed_total += 1;
-            }
-        }
-    }
-    // End-of-run checks carry no span; stamp them with the horizon.
-    inv.context(horizon, 0);
-    inv.finish();
-
-    let (drained, dropped) = obs::drain_spans();
-    spans.extend(drained);
-    span_dropped += dropped;
+    let mut svc = ServiceLoop::with_faults(cfg, seed, schedule);
+    svc.run_day();
+    let report = svc.into_chaos_report(prefix);
     obs::set_span_recording(was_recording);
-    let attribution = Attribution::attribute(&spans);
-
-    broker.publish_prefixed(prefix);
-    fleet.publish_prefixed(prefix);
-    slo.publish_prefixed(prefix);
-    cache.publish();
-    let counts = schedule.counts();
-    obs::add_named("faults.injected", schedule.len() as u64);
-    obs::add_named("faults.relay_crashes", counts.crashes);
-    obs::add_named("faults.relay_restores", counts.restores);
-    obs::add_named("faults.link_degradations", counts.degradations);
-    obs::add_named("faults.probe_blackholes", counts.blackholes);
-    obs::add_named("faults.cache_poisonings", counts.poisons);
-    obs::add_named("faults.flows_killed", killed_total);
-    obs::add_named("faults.retries", retries_total);
-    obs::add_named("obs.spans_dropped", span_dropped);
-    // Invariant check-site hit counts: the fuzzer's coverage map keys
-    // on which checks a schedule actually reached.
-    for (site, n) in inv.site_counts() {
-        obs::add_named(&format!("faults.check.{site}"), n);
-    }
-
-    ChaosReport {
-        rows,
-        broker: broker.stats(),
-        fleet: fleet.stats(),
-        faults: counts,
-        arrivals: total_arrivals,
-        killed: killed_total,
-        retries: retries_total,
-        completed: completed_total,
-        spend_usd: fleet.spend_usd(),
-        budget_usd: svc.fleet.budget_usd,
-        invariant_violations: inv.violations().to_vec(),
-        slo,
-        spans,
-        span_dropped,
-        attribution,
-    }
-}
-
-/// Re-derives the pair a flow id maps to (its originating request's
-/// client, through the same hash the arrival path used).
-fn pair_for_retry(
-    flow: u64,
-    arrivals_by_epoch: &[Vec<control::FlowRequest>],
-    pairs: &[(RouterId, RouterId)],
-) -> usize {
-    let epoch = (flow >> 32) as usize;
-    let idx = (flow & 0xFFFF_FFFF) as usize;
-    pair_of(arrivals_by_epoch[epoch][idx].client, pairs.len())
-}
-
-/// One admission (first attempt or failover retry) through the broker,
-/// shared between `Arrive` and `Retry`.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    flow: u64,
-    tenant: u32,
-    pi: usize,
-    bytes: u64,
-    issued: SimTime,
-    now: SimTime,
-    parent: u64,
-    pairs: &[(RouterId, RouterId)],
-    truth: &[cronets::eval::PairEval],
-    ptruth: &[Vec<ArmEval>],
-    broker: &mut Broker,
-    fleet: &mut Fleet,
-    slo: &mut SloAccount,
-    inv: &mut Invariants,
-    queue: &mut EventQueue<Ev>,
-    in_flight: &mut HashMap<u64, InFlight>,
-    relay_flows: &mut [BTreeSet<u64>],
-) {
-    if broker.is_multihop() {
-        let (decision, arm) = broker.decide_paths(pi, |n| fleet.is_free(n));
-        if decision == Decision::Deny {
-            let admitted = obs::span(now.as_nanos(), parent, SpanKind::Admit, flow, 0, 0);
-            obs::span(
-                now.as_nanos(),
-                admitted,
-                SpanKind::SloBreach,
-                flow,
-                u64::from(tenant),
-                4,
-            );
-            slo.record_denial(tenant);
-            inv.context(now, admitted);
-            inv.flow_denied(flow);
-            return;
-        }
-        let hops = match decision {
-            Decision::Direct { .. } => Hops::direct(),
-            Decision::Overlay { node, .. } => Hops::single(node),
-            Decision::Chain { hops, .. } => hops,
-            Decision::Deny => unreachable!(),
-        };
-        // Span arg a extends the one-hop encoding (1 direct, 2 overlay)
-        // by chain length; b names the ingress relay.
-        let admitted = obs::span(
-            now.as_nanos(),
-            parent,
-            SpanKind::Admit,
-            flow,
-            1 + hops.len() as u64,
-            hops.first().map_or(0, |r| r as u64 + 1),
-        );
-        for r in hops.iter() {
-            fleet.flow_started(r);
-            debug_assert_eq!(fleet.relay_state(r), RelayState::Active);
-            inv.set_relay_state(r, fleet.relay_state(r));
-        }
-        let chain: Vec<usize> = hops.iter().collect();
-        inv.context(now, admitted);
-        inv.flow_admitted_path(flow, &chain);
-        // Ground truth for the chosen arm, not the bandit's estimate —
-        // a stale belief earns the real rate. The carried flow's rate
-        // also feeds the bandit for free.
-        let at = ptruth[pi][arm];
-        broker.learn_path(pi, arm, at.bps);
-        let ratio = if hops.is_empty() {
-            1.0
-        } else {
-            at.bps / ptruth[pi][0].bps.max(1.0)
-        };
-        let done = now + completion_time(bytes, at.bps, at.rtt);
-        let handle = queue.schedule(done, Ev::Complete { flow });
-        for r in hops.iter() {
-            relay_flows[r].insert(flow);
-        }
-        in_flight.insert(
-            flow,
-            InFlight {
-                tenant,
-                hops,
-                ratio,
-                issued,
-                started: now,
-                bytes,
-                done_at: done,
-                handle,
-                span: admitted,
-            },
-        );
-        return;
-    }
-    let (s, c) = pairs[pi];
-    let decision = broker.decide(s, c, now, |n| fleet.is_free(n));
-    let tr = &truth[pi];
-    let direct_true = tr.direct.throughput_bps;
-    match decision {
-        Decision::Chain { .. } => unreachable!("one-hop broker never emits chains"),
-        Decision::Deny => {
-            let admitted = obs::span(now.as_nanos(), parent, SpanKind::Admit, flow, 0, 0);
-            // A denial breaches immediately (mask 4): charged here so the
-            // attribution walk can reach the causing fault via the
-            // retry/kill chain above `parent`.
-            obs::span(
-                now.as_nanos(),
-                admitted,
-                SpanKind::SloBreach,
-                flow,
-                u64::from(tenant),
-                4,
-            );
-            slo.record_denial(tenant);
-            inv.context(now, admitted);
-            inv.flow_denied(flow);
-        }
-        Decision::Direct { .. } => {
-            let admitted = obs::span(now.as_nanos(), parent, SpanKind::Admit, flow, 1, 0);
-            inv.context(now, admitted);
-            inv.flow_admitted(flow, None);
-            let done = now + completion_time(bytes, direct_true, tr.direct.rtt);
-            let handle = queue.schedule(done, Ev::Complete { flow });
-            in_flight.insert(
-                flow,
-                InFlight {
-                    tenant,
-                    hops: Hops::direct(),
-                    ratio: 1.0,
-                    issued,
-                    started: now,
-                    bytes,
-                    done_at: done,
-                    handle,
-                    span: admitted,
-                },
-            );
-        }
-        Decision::Overlay { node, .. } => {
-            let admitted = obs::span(
-                now.as_nanos(),
-                parent,
-                SpanKind::Admit,
-                flow,
-                2,
-                node as u64 + 1,
-            );
-            fleet.flow_started(node);
-            debug_assert_eq!(fleet.relay_state(node), RelayState::Active);
-            inv.set_relay_state(node, fleet.relay_state(node));
-            inv.context(now, admitted);
-            inv.flow_admitted(flow, Some(node));
-            let bps_true = achieved(tr, PathChoice::Overlay(node));
-            let rtt = tr
-                .overlays
-                .iter()
-                .find(|o| o.node == node)
-                .map_or(tr.direct.rtt, |o| o.split.rtt);
-            let done = now + completion_time(bytes, bps_true, rtt);
-            let handle = queue.schedule(done, Ev::Complete { flow });
-            relay_flows[node].insert(flow);
-            in_flight.insert(
-                flow,
-                InFlight {
-                    tenant,
-                    hops: Hops::single(node),
-                    ratio: bps_true / direct_true.max(1.0),
-                    issued,
-                    started: now,
-                    bytes,
-                    done_at: done,
-                    handle,
-                    span: admitted,
-                },
-            );
-        }
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use control::PathsPolicy;
+    use obs::SpanKind;
 
     fn tiny_cfg() -> ChaosConfig {
         let mut cfg = ChaosConfig::smoke();

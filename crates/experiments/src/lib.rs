@@ -17,9 +17,9 @@
 //! | [`ablation`] | design-choice ablations: IXP peering, endpoint windows, analytic-vs-DES validation |
 //! | [`export`] | TSV export of all figure data for external plotting |
 //! | [`failover`] | §VI-A: direct-path failure mid-transfer, MPTCP vs plain TCP |
-//! | [`service`] | §VI–§VII: CRONets as an online service (workload, broker, autoscaler, SLOs) |
-//! | [`chaos`] | §VI-A generalized: the service under a deterministic fault schedule (crashes, outages, flaps, poisoned probes) |
-//! | [`hybrid`] | fast-fidelity service/chaos: overlay flows exact, direct-path mass settled analytically (`--fidelity hybrid`) |
+//! | [`service`] | §VI–§VII: CRONets as an online service (workload, broker, autoscaler, SLOs) — the one event loop, with an optional fault schedule |
+//! | [`chaos`] | §VI-A generalized: the service loop under a deterministic fault schedule (crashes, outages, flaps, poisoned probes) |
+//! | [`hybrid`] | transport-level hybrid-vs-DES goodput accuracy on the Fig. 12/13 scenario (`cronets accuracy`) |
 //! | [`multihop`] | §VII-B generalized: k-hop chains with online-bandit selection vs static/OLIA on the Fig. 12/13 flows, clean and under faults |
 //! | [`fuzzing`] | coverage-guided fault-schedule fuzzing of the chaos loop, with delta-debugged repros (`cronets fuzz`) |
 //! | [`soak`] | week-of-simulated-time chaos soak, checkpoint-resumable and byte-deterministic (`cronets soak`) |

@@ -11,6 +11,15 @@
 //! boundary; and an SLO ledger ([`control::slo`]) charges per-tenant
 //! violations.
 //!
+//! The same loop runs the service under a fault schedule
+//! ([`crate::chaos`]): relay crashes kill the flows riding them, killed
+//! flows re-enter the broker after a detection delay, link degradations
+//! hold their floor across congestion steps, blackholes starve the probe
+//! refresh, and poisonings age the probe cache. Fault events ride the
+//! same queue as the flows, and the run also records causal spans and
+//! feeds a [`faults::Invariants`] checker. Without a schedule none of
+//! that bookkeeping exists.
+//!
 //! # Determinism
 //!
 //! The run is a pure function of `(config, seed)` at any `--threads N`:
@@ -23,6 +32,7 @@
 //!   time ties FIFO, so the decision sequence is schedule-independent;
 //! * telemetry flows through `obs` unit shards absorbed in unit order.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cloud::{PortSpeed, TrafficPlan};
@@ -32,13 +42,17 @@ use control::{
 };
 use cronets::eval::{modes_from_segments, quality, Measurement, OverlayEval, PairEval};
 use cronets::select::{achieved, PathChoice};
+use faults::{FaultKind, FaultSchedule, Invariants};
+use obs::SpanKind;
 use paths::{relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops};
 use routing::{NodeAddr, RouteCache, RouterPath};
-use simcore::{EventQueue, SimDuration, SimTime};
-use topology::RouterId;
+use simcore::rng::mix64;
+use simcore::{EventHandle, EventQueue, SimDuration, SimTime};
+use topology::{LinkId, RouterId};
 use transport::model::tcp_throughput;
-use transport::Fidelity;
 
+use crate::attribution::Attribution;
+use crate::chaos::{availability_by_epoch, ChaosConfig, ChaosReport, ChaosRow};
 use crate::scenario::{ScenarioConfig, World};
 
 /// Full configuration of a service run.
@@ -66,12 +80,6 @@ pub struct ServiceConfig {
     pub paths: PathsPolicy,
     /// Maximum relay hops per chain under the multihop policy (1..=3).
     pub khops: usize,
-    /// Simulation fidelity. [`Fidelity::Des`] (the default) runs the
-    /// exact per-flow event loop; [`Fidelity::Hybrid`] and
-    /// [`Fidelity::Analytic`] run the blended loop in [`crate::hybrid`],
-    /// which keeps overlay-riding flows exact and settles the direct-path
-    /// mass arithmetically (the two coincide at the service level).
-    pub fidelity: Fidelity,
 }
 
 impl ServiceConfig {
@@ -137,7 +145,6 @@ impl ServiceConfig {
             probe_every: 2,
             paths: PathsPolicy::OneHop,
             khops: 2,
-            fidelity: Fidelity::Des,
         }
     }
 
@@ -214,13 +221,12 @@ impl ServiceConfig {
             probe_every: 2,
             paths: PathsPolicy::OneHop,
             khops: 2,
-            fidelity: Fidelity::Des,
         }
     }
 }
 
 /// One epoch's aggregate activity (a row of `results/service.tsv`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EpochRow {
     /// Epoch index.
     pub epoch: u32,
@@ -305,7 +311,7 @@ impl fmt::Display for ServiceReport {
             self.arrivals,
             self.rows.len(),
             self.completed,
-            self.broker.denied,
+            self.slo.denied(),
         )?;
         writeln!(
             f,
@@ -376,6 +382,14 @@ impl SlotHops {
         self.len == 0
     }
 
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    fn first(&self) -> Option<usize> {
+        self.iter().next()
+    }
+
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots[..usize::from(self.len)]
             .iter()
@@ -392,19 +406,26 @@ fn claim_slots(fleet: &mut Fleet, hops: &Hops) -> SlotHops {
     s
 }
 
-/// A flow-level discrete event.
+/// A flow-level or fault discrete event.
 enum Ev {
     /// Arrival `idx` of `epoch` reaches the broker.
     Arrive { epoch: u32, idx: u32 },
-    /// An admitted flow finishes.
+    /// An admitted flow (a segment of it, after a kill) finishes.
     Complete {
+        flow: u64,
         tenant: u32,
         /// The relay slots the flow holds (empty for the direct path,
         /// one entry for the paper's one-hop overlay).
         slots: SlotHops,
         /// Achieved/direct throughput ratio (ground truth at admission).
         ratio: f64,
+        /// Original request time: SLO completion latency spans kills
+        /// and retries.
         issued: SimTime,
+        /// Bytes this segment carries.
+        bytes: u64,
+        /// The segment's admit span (0 without a fault schedule).
+        span: u64,
     },
     /// The egress leg of a cross-region flow finishes; the remainder is
     /// handed to the destination region at the next epoch barrier.
@@ -434,6 +455,53 @@ enum Ev {
         remaining: u64,
         issued: SimTime,
     },
+    /// A killed flow's failure detection fires; it re-enters the broker.
+    Retry(Killed),
+    /// Scheduled fault `idx` of the fault schedule injects.
+    Fault { idx: u32 },
+}
+
+impl Ev {
+    /// Static handler-kind label for the sim-time profiler.
+    fn label(&self) -> &'static str {
+        match self {
+            Ev::Arrive { .. } => "arrive",
+            Ev::Complete { .. } => "complete",
+            Ev::RemoteEgress { .. } => "remote_egress",
+            Ev::RemoteComplete { .. } => "remote_complete",
+            Ev::Retry(_) => "retry",
+            Ev::Fault { .. } => "fault",
+        }
+    }
+}
+
+/// A flow a relay crash killed, waiting for its failure detection.
+struct Killed {
+    flow: u64,
+    tenant: u32,
+    pair: u32,
+    bytes_left: u64,
+    issued: SimTime,
+    crashed_at: SimTime,
+    /// The kill span (the retry span hangs off it, keeping the chain
+    /// back to the causing fault intact).
+    kill_span: u64,
+}
+
+/// A relay-holding flow segment in flight under a fault schedule: what
+/// a crash of one of its relays needs to kill it. Direct flows hold no
+/// relay, so they are never indexed.
+struct InFlight {
+    handle: EventHandle,
+    tenant: u32,
+    slots: SlotHops,
+    issued: SimTime,
+    /// When this segment was admitted.
+    started: SimTime,
+    /// Scheduled completion instant.
+    done_at: SimTime,
+    /// Bytes this segment carries.
+    bytes: u64,
 }
 
 /// Cross-region behaviour of one shard of the sharded service; `None`
@@ -460,11 +528,10 @@ impl RemoteCfg {
         if self.regions < 2 || self.permille == 0 {
             return None;
         }
-        let mut z = req_id ^ (u64::from(self.region) << 44) ^ 0x5EED_C0FF_EE00_0000;
-        z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(
+            (req_id ^ (u64::from(self.region) << 44) ^ 0x5EED_C0FF_EE00_0000)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         if z % 1000 >= u64::from(self.permille) {
             return None;
         }
@@ -518,11 +585,7 @@ pub enum RemoteEvent {
 /// Ground-truth path evaluation for every pair under the current
 /// congestion state, over the read-only cache. One work unit per pair,
 /// merged in pair order.
-pub(crate) fn epoch_truth(
-    world: &World,
-    cache: &RouteCache,
-    pairs: &[(RouterId, RouterId)],
-) -> Vec<PairEval> {
+fn epoch_truth(world: &World, cache: &RouteCache, pairs: &[(RouterId, RouterId)]) -> Vec<PairEval> {
     let net = &world.net;
     let params = *world.cronet.params();
     let tunnel = world.cronet.tunnel();
@@ -582,19 +645,17 @@ pub(crate) fn epoch_truth(
 
 /// Completion latency of a flow: one path RTT of setup plus the
 /// transfer at the achieved rate.
-pub(crate) fn completion_time(bytes: u64, bps: f64, rtt: SimDuration) -> SimDuration {
+fn completion_time(bytes: u64, bps: f64, rtt: SimDuration) -> SimDuration {
     rtt + SimDuration::from_secs_f64(bytes as f64 * 8.0 / bps.max(1.0))
 }
 
 /// Builds the service's warmed route cache and pair catalogue: every
 /// routable (server, client) combination, plus prefetched relay legs.
-/// Shared by the DES loop, the chaos harness, and the hybrid loop so
-/// all fidelities price the same catalogue.
 ///
 /// # Panics
 ///
 /// Panics if no server/client pair is routable.
-pub(crate) fn prefetched_pairs(world: &World) -> (RouteCache, Vec<(RouterId, RouterId)>) {
+fn prefetched_pairs(world: &World) -> (RouteCache, Vec<(RouterId, RouterId)>) {
     let mut cache = RouteCache::build(&world.net);
     let mut keys: Vec<(RouterId, RouterId)> = Vec::new();
     for &s in &world.servers {
@@ -619,17 +680,109 @@ pub(crate) fn prefetched_pairs(world: &World) -> (RouteCache, Vec<(RouterId, Rou
 /// client id first (SplitMix64 finalizer) so the pair is decorrelated
 /// from `client % tenants` — otherwise each tenant would own a fixed
 /// subset of pairs whenever the tenant count divides the pair count.
-pub(crate) fn pair_of(client: u64, n_pairs: usize) -> usize {
-    let mut z = client.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % n_pairs as u64) as usize
+fn pair_of(client: u64, n_pairs: usize) -> usize {
+    (mix64(client.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n_pairs as u64) as usize
+}
+
+/// Where the broker steered one admission, resolved against the epoch's
+/// ground truth: a stale steer earns the real rate of the path it chose.
+struct Steer {
+    /// Overlay-node hops of the chosen path (empty for direct).
+    hops: Hops,
+    /// The bandit arm, under the multihop policy.
+    arm: Option<usize>,
+    bps: f64,
+    rtt: SimDuration,
+    direct_bps: f64,
+    direct_rtt: SimDuration,
+}
+
+/// One epoch's fault tallies, reset at every row.
+#[derive(Default)]
+struct EpochFaults {
+    killed: u64,
+    retries: u64,
+    failover_ns: u128,
+    ratio_sum: f64,
+}
+
+/// The fault side of a run under a schedule: the nemesis's state, the
+/// invariant checker, the kill index and the causal span stream.
+struct Nemesis {
+    schedule: FaultSchedule,
+    /// Application-layer failure detection delay of a killed flow.
+    detect_after: SimDuration,
+    availability: Vec<f64>,
+    /// Candidate victims for link degradation: every inter-AS link, in
+    /// id order (the schedule's salt picks modulo this).
+    flap_victims: Vec<LinkId>,
+    inv: Invariants,
+    /// Relay-holding segments in flight, by ascending flow id: crash
+    /// kill order is deterministic.
+    in_flight: BTreeMap<u64, InFlight>,
+    /// Open link-degradation windows: salt → (victim, severity floor).
+    degraded: BTreeMap<u64, (LinkId, f64)>,
+    blackhole_depth: u32,
+    spans: Vec<obs::SpanRecord>,
+    span_dropped: u64,
+    profiling: bool,
+    prof_last: SimTime,
+    killed: u64,
+    retries: u64,
+    ep: EpochFaults,
+    rows: Vec<ChaosRow>,
+}
+
+impl Nemesis {
+    fn new(cfg: &ChaosConfig, schedule: &FaultSchedule, world: &World) -> Nemesis {
+        Nemesis {
+            schedule: schedule.clone(),
+            detect_after: cfg.detect_after,
+            availability: availability_by_epoch(schedule, cfg),
+            flap_victims: world
+                .net
+                .links()
+                .filter(|l| l.kind().is_inter_as())
+                .map(|l| l.id())
+                .collect(),
+            inv: Invariants::new(cfg.service.fleet.relays, schedule.mttr_cap()),
+            in_flight: BTreeMap::new(),
+            degraded: BTreeMap::new(),
+            blackhole_depth: 0,
+            spans: Vec::new(),
+            span_dropped: 0,
+            profiling: simcore::profile::enabled(),
+            prof_last: SimTime::ZERO,
+            killed: 0,
+            retries: 0,
+            ep: EpochFaults::default(),
+            rows: Vec::with_capacity(cfg.service.workload.epochs as usize),
+        }
+    }
+
+    /// Mirrors the fleet's slot states into the checker so admission
+    /// checks see exactly what the fleet sees. Under a schedule every
+    /// group is one slot.
+    fn sync_states(&mut self, fleet: &Fleet) {
+        for i in 0..fleet.groups() {
+            self.inv.set_relay_state(i, fleet.relay_state(i));
+        }
+    }
+
+    /// Drains the bounded span ring. Every epoch drains it so a full
+    /// day's spans never overwrite each other.
+    fn drain_spans(&mut self) {
+        let (drained, dropped) = obs::drain_spans();
+        self.spans.extend(drained);
+        self.span_dropped += dropped;
+    }
 }
 
 /// The service loop as a steppable state machine: the classic
 /// [`service`] entry point drives it epoch by epoch with empty
-/// mailboxes, and the sharded engine (`crate::sharded`) drives one per
-/// region with epoch-barriered cross-shard messages in between.
+/// mailboxes, [`crate::chaos`] drives it under a fault schedule, and
+/// the sharded engine (`crate::sharded`) drives one per region with
+/// epoch-barriered cross-shard messages in between.
 pub(crate) struct ServiceLoop {
     cfg: ServiceConfig,
     world: World,
@@ -637,6 +790,11 @@ pub(crate) struct ServiceLoop {
     pairs: Vec<(RouterId, RouterId)>,
     multihop: bool,
     cands: Vec<Vec<Candidate>>,
+    /// The current epoch's one-hop ground truth, per pair. A fault run
+    /// keeps it past the last epoch: post-horizon retries price on it.
+    truth: Vec<PairEval>,
+    /// The current epoch's multihop ground truth, per pair and arm.
+    ptruth: Vec<Vec<ArmEval>>,
     arrivals_by_epoch: Vec<Vec<FlowRequest>>,
     total_arrivals: u64,
     broker: Broker,
@@ -654,6 +812,8 @@ pub(crate) struct ServiceLoop {
     ledger: Vec<RemoteEvent>,
     handoffs: u64,
     retries: u64,
+    /// The fault schedule's state; `None` for a plain service run.
+    faults: Option<Box<Nemesis>>,
 }
 
 impl ServiceLoop {
@@ -667,7 +827,6 @@ impl ServiceLoop {
     /// differ, fleet slots don't group evenly over the overlay nodes,
     /// zero probe cadence, or no routable server/client pair).
     pub(crate) fn new(cfg: &ServiceConfig, seed: u64, remote: Option<RemoteCfg>) -> ServiceLoop {
-        assert_eq!(cfg.fidelity, Fidelity::Des, "ServiceLoop is the DES path");
         assert!(cfg.probe_every >= 1, "probe_every must be at least 1");
         assert_eq!(
             cfg.workload.tenants as usize,
@@ -737,6 +896,8 @@ impl ServiceLoop {
             pairs,
             multihop,
             cands,
+            truth: Vec::new(),
+            ptruth: Vec::new(),
             arrivals_by_epoch,
             total_arrivals,
             broker,
@@ -752,7 +913,43 @@ impl ServiceLoop {
             ledger: Vec::new(),
             handoffs: 0,
             retries: 0,
+            faults: None,
         }
+    }
+
+    /// Builds the loop under `schedule`: the nemesis's events are queued
+    /// before any arrival, so queue order is fully deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet's slots are not exactly the scenario's overlay
+    /// nodes (a crash kills one node's flows), or on any inconsistency
+    /// [`ServiceLoop::new`] rejects.
+    pub(crate) fn with_faults(
+        cfg: &ChaosConfig,
+        seed: u64,
+        schedule: &FaultSchedule,
+    ) -> ServiceLoop {
+        let mut svc = ServiceLoop::new(&cfg.service, seed, None);
+        assert_eq!(
+            cfg.service.fleet.relays,
+            svc.world.cronet.nodes().len(),
+            "fleet slots must match the scenario's overlay nodes"
+        );
+        svc.faults = Some(Box::new(Nemesis::new(cfg, schedule, &svc.world)));
+        for (i, ev) in schedule.events().iter().enumerate() {
+            svc.queue.schedule(ev.at, Ev::Fault { idx: i as u32 });
+        }
+        svc
+    }
+
+    /// Runs the whole single-region day: every epoch with an empty
+    /// mailbox, then the tail.
+    pub(crate) fn run_day(&mut self) {
+        for e in 0..self.cfg.workload.epochs {
+            self.run_epoch(e, Vec::new());
+        }
+        self.drain_tail();
     }
 
     /// Runs epoch `e`: congestion step, path truth, probe refresh,
@@ -762,68 +959,55 @@ impl ServiceLoop {
         if e > 0 {
             self.world.step_epoch(u64::from(e));
         }
+        if let Some(f) = self.faults.as_deref() {
+            // Re-impose open degradation windows after the epoch's
+            // congestion step: the nemesis holds its floor.
+            for &(link, severity) in f.degraded.values() {
+                let l = self.world.net.link_mut(link);
+                l.set_level(l.level().max(severity));
+            }
+        }
         let epoch_start = SimTime::ZERO + self.cfg.workload.epoch * u64::from(e);
         let epoch_end = epoch_start + self.cfg.workload.epoch;
-        let multihop = self.multihop;
-        let truth = if multihop {
-            Vec::new()
-        } else {
-            epoch_truth(&self.world, &self.cache, &self.pairs)
-        };
-        // Multihop ground truth: one work unit per pair scoring that
-        // pair's fixed arms under the current congestion state.
-        let ptruth: Vec<Vec<ArmEval>> = if multihop {
+        if self.multihop {
+            // Multihop ground truth: one work unit per pair scoring that
+            // pair's fixed arms under the current congestion state.
+            self.ptruth.clear();
             let net = &self.world.net;
             let params = *self.world.cronet.params();
             let tunnel = self.world.cronet.tunnel();
             let nodes = self.world.cronet.nodes();
             let (shared, arms) = (&self.cache, &self.cands);
             let pairs = &self.pairs;
-            exec::parallel_map(pairs.len(), |pi| {
+            self.ptruth = exec::parallel_map(pairs.len(), |pi| {
                 let (s, c) = pairs[pi];
                 paths::evaluate(net, shared, nodes, s, c, tunnel, &params, &arms[pi])
-            })
+            });
         } else {
-            Vec::new()
-        };
-        let Self {
-            cfg,
-            pairs,
-            arrivals_by_epoch,
-            broker,
-            fleet,
-            slo,
-            queue,
-            rows,
-            billed_to,
-            horizon,
-            completed_total,
-            remote,
-            outbox,
-            ledger,
-            handoffs,
-            retries,
-            ..
-        } = self;
-        let horizon = *horizon;
-        if multihop {
-            // Budgeted, uncertainty-driven refresh replaces the flat
-            // probe cadence: epoch 0 seeds every arm, after which each
-            // pair only spends its probe budget per epoch.
-            for (pi, pt) in ptruth.iter().enumerate() {
+            self.truth.clear();
+            self.truth = epoch_truth(&self.world, &self.cache, &self.pairs);
+        }
+        // Probe refresh — unless a blackhole swallows the refresh
+        // traffic. Under multihop, budgeted, uncertainty-driven refresh
+        // replaces the flat probe cadence: epoch 0 seeds every arm,
+        // after which each pair only spends its probe budget per epoch.
+        let probing = self.faults.as_ref().is_none_or(|f| f.blackhole_depth == 0);
+        if self.multihop {
+            for (pi, pt) in self.ptruth.iter().enumerate() {
                 if e == 0 {
-                    broker.seed_paths(pi, pt);
-                } else {
-                    broker.probe_paths(pi, pt);
+                    self.broker.seed_paths(pi, pt);
+                } else if probing {
+                    self.broker.probe_paths(pi, pt);
                 }
             }
-        } else if e.is_multiple_of(cfg.probe_every) {
-            for (pi, &(s, c)) in pairs.iter().enumerate() {
-                broker.observe(s, c, epoch_start, truth[pi].clone());
+        } else if e.is_multiple_of(self.cfg.probe_every) && probing {
+            for (pi, &(s, c)) in self.pairs.iter().enumerate() {
+                self.broker
+                    .observe(s, c, epoch_start, self.truth[pi].clone());
             }
         }
-        for (i, req) in arrivals_by_epoch[e as usize].iter().enumerate() {
-            queue.schedule(
+        for (i, req) in self.arrivals_by_epoch[e as usize].iter().enumerate() {
+            self.queue.schedule(
                 req.at,
                 Ev::Arrive {
                     epoch: e,
@@ -832,476 +1016,98 @@ impl ServiceLoop {
             );
         }
 
-        let b0 = broker.stats();
-        let (done0, viol0) = (slo.completed(), slo.violations());
-        let lg = remote.as_ref().is_some_and(|r| r.ledger);
+        let b0 = self.broker.stats();
+        let (done0, viol0) = (self.slo.completed(), self.slo.violations());
 
         // Cross-shard mailbox, delivered at the epoch barrier in
-        // (sender, emission) order. Handoffs are admitted against this
-        // region's relay pool at epoch start; Done/Retry settle the
-        // origin's SLO ledger.
+        // (sender, emission) order.
         for msg in inbox {
-            match msg {
-                ShardMsg::Handoff {
-                    flow,
-                    dst: _,
-                    origin,
-                    tenant,
-                    remaining,
-                    handed: _,
-                    direct_bps,
-                    rtt,
-                    issued,
-                } => {
-                    let pi = pair_of(flow, pairs.len());
-                    // The ingress leg must ride this region's relays: a
-                    // handoff is only worth taking onto overlay
-                    // capacity. No spare relay (or a deny) bounces the
-                    // flow back to the origin for a direct retry.
-                    let admitted = if multihop {
-                        let (decision, arm) = broker.decide_paths(pi, |n| fleet.group_free(n));
-                        match decision {
-                            Decision::Overlay { node, .. } => Some((Hops::single(node), arm)),
-                            Decision::Chain { hops, .. } => Some((hops, arm)),
-                            _ => None,
-                        }
-                        .map(|(hops, arm)| {
-                            let slots = claim_slots(fleet, &hops);
-                            let at = ptruth[pi][arm];
-                            broker.learn_path(pi, arm, at.bps);
-                            (slots, at.bps, at.rtt, ptruth[pi][0].bps)
-                        })
-                    } else {
-                        let (s, c) = pairs[pi];
-                        match broker.decide(s, c, epoch_start, |n| fleet.group_free(n)) {
-                            Decision::Overlay { node, .. } => {
-                                let tr = &truth[pi];
-                                let slots = claim_slots(fleet, &Hops::single(node));
-                                let bps_true = achieved(tr, PathChoice::Overlay(node));
-                                let leg_rtt = tr
-                                    .overlays
-                                    .iter()
-                                    .find(|o| o.node == node)
-                                    .map_or(tr.direct.rtt, |o| o.split.rtt);
-                                Some((slots, bps_true, leg_rtt, tr.direct.throughput_bps))
-                            }
-                            _ => None,
-                        }
-                    };
-                    match admitted {
-                        Some((slots, bps, leg_rtt, direct_true)) => {
-                            let done = epoch_start + completion_time(remaining, bps, leg_rtt);
-                            queue.schedule(
-                                done,
-                                Ev::RemoteComplete {
-                                    flow,
-                                    origin,
-                                    tenant,
-                                    slots,
-                                    ratio: bps / direct_true.max(1.0),
-                                    remaining,
-                                    issued,
-                                },
-                            );
-                        }
-                        None => outbox.push(ShardMsg::Retry {
-                            flow,
-                            origin,
-                            tenant,
-                            remaining,
-                            direct_bps,
-                            rtt,
-                            issued,
-                        }),
-                    }
-                }
-                ShardMsg::Done {
-                    flow,
-                    origin: _,
-                    tenant,
-                    remaining,
-                    ratio,
-                    latency,
-                } => {
-                    slo.record_completion(tenant, ratio, latency);
-                    *completed_total += 1;
-                    if lg {
-                        ledger.push(RemoteEvent::Completed {
-                            flow,
-                            delivered: remaining,
-                        });
-                    }
-                }
-                ShardMsg::Retry {
-                    flow,
-                    origin: _,
-                    tenant,
-                    remaining,
-                    direct_bps,
-                    rtt,
-                    issued,
-                } => {
-                    // Settle the remainder on the origin's direct path.
-                    *retries += 1;
-                    let done = epoch_start + completion_time(remaining, direct_bps, rtt);
-                    slo.record_completion(tenant, 1.0, done - issued);
-                    *completed_total += 1;
-                    if lg {
-                        ledger.push(RemoteEvent::Retried { flow });
-                        ledger.push(RemoteEvent::Completed {
-                            flow,
-                            delivered: remaining,
-                        });
-                    }
-                }
-            }
+            self.deliver(msg, epoch_start, true);
+        }
+        while let Some((now, ev)) = self.queue.pop_before(epoch_end) {
+            self.handle(now, ev);
         }
 
-        while let Some((now, ev)) = queue.pop_before(epoch_end) {
-            match ev {
-                Ev::Arrive { epoch, idx } if multihop => {
-                    let req = &arrivals_by_epoch[epoch as usize][idx as usize];
-                    let pi = pair_of(req.client, pairs.len());
-                    let (decision, arm) = broker.decide_paths(pi, |n| fleet.group_free(n));
-                    let split = remote.as_ref().and_then(|rc| rc.split(req.id));
-                    if decision == Decision::Deny {
-                        slo.record_denial(req.tenant);
-                        if lg {
-                            if let Some((gid, _)) = split {
-                                ledger.push(RemoteEvent::Requested {
-                                    flow: gid,
-                                    bytes: req.bytes,
-                                });
-                                ledger.push(RemoteEvent::Denied { flow: gid });
-                            }
-                        }
-                        continue;
-                    }
-                    let hops = match decision {
-                        Decision::Direct { .. } => Hops::direct(),
-                        Decision::Overlay { node, .. } => Hops::single(node),
-                        Decision::Chain { hops, .. } => hops,
-                        Decision::Deny => unreachable!(),
-                    };
-                    let slots = claim_slots(fleet, &hops);
-                    // Ground truth for the chosen arm, not the bandit's
-                    // estimate — a stale belief earns the real rate. The
-                    // carried flow's rate also feeds the bandit for free.
-                    let at = ptruth[pi][arm];
-                    broker.learn_path(pi, arm, at.bps);
-                    match split {
-                        Some((gid, dst)) => {
-                            let handed = req.bytes / 2;
-                            if lg {
-                                ledger.push(RemoteEvent::Requested {
-                                    flow: gid,
-                                    bytes: req.bytes,
-                                });
-                            }
-                            let done = now + completion_time(handed, at.bps, at.rtt);
-                            queue.schedule(
-                                done,
-                                Ev::RemoteEgress {
-                                    flow: gid,
-                                    dst,
-                                    tenant: req.tenant,
-                                    slots,
-                                    handed,
-                                    remaining: req.bytes - handed,
-                                    direct_bps: ptruth[pi][0].bps,
-                                    rtt: ptruth[pi][0].rtt,
-                                    issued: now,
-                                },
-                            );
-                        }
-                        None => {
-                            let ratio = if hops.is_empty() {
-                                1.0
-                            } else {
-                                at.bps / ptruth[pi][0].bps.max(1.0)
-                            };
-                            let done = now + completion_time(req.bytes, at.bps, at.rtt);
-                            queue.schedule(
-                                done,
-                                Ev::Complete {
-                                    tenant: req.tenant,
-                                    slots,
-                                    ratio,
-                                    issued: now,
-                                },
-                            );
-                        }
-                    }
-                }
-                Ev::Arrive { epoch, idx } => {
-                    let req = &arrivals_by_epoch[epoch as usize][idx as usize];
-                    let pi = pair_of(req.client, pairs.len());
-                    let (s, c) = pairs[pi];
-                    let decision = broker.decide(s, c, now, |n| fleet.group_free(n));
-                    let tr = &truth[pi];
-                    let direct_true = tr.direct.throughput_bps;
-                    let split = remote.as_ref().and_then(|rc| rc.split(req.id));
-                    let (slots, bps_true, leg_rtt) = match decision {
-                        Decision::Deny => {
-                            slo.record_denial(req.tenant);
-                            if lg {
-                                if let Some((gid, _)) = split {
-                                    ledger.push(RemoteEvent::Requested {
-                                        flow: gid,
-                                        bytes: req.bytes,
-                                    });
-                                    ledger.push(RemoteEvent::Denied { flow: gid });
-                                }
-                            }
-                            continue;
-                        }
-                        Decision::Chain { .. } => {
-                            unreachable!("one-hop broker never emits chains")
-                        }
-                        Decision::Direct { .. } => (SlotHops::EMPTY, direct_true, tr.direct.rtt),
-                        Decision::Overlay { node, .. } => {
-                            let slots = claim_slots(fleet, &Hops::single(node));
-                            // Ground truth, not the (possibly stale)
-                            // probe: a stale steer earns a stale rate.
-                            let bps_true = achieved(tr, PathChoice::Overlay(node));
-                            let leg_rtt = tr
-                                .overlays
-                                .iter()
-                                .find(|o| o.node == node)
-                                .map_or(tr.direct.rtt, |o| o.split.rtt);
-                            (slots, bps_true, leg_rtt)
-                        }
-                    };
-                    match split {
-                        Some((gid, dst)) => {
-                            let handed = req.bytes / 2;
-                            if lg {
-                                ledger.push(RemoteEvent::Requested {
-                                    flow: gid,
-                                    bytes: req.bytes,
-                                });
-                            }
-                            let done = now + completion_time(handed, bps_true, leg_rtt);
-                            queue.schedule(
-                                done,
-                                Ev::RemoteEgress {
-                                    flow: gid,
-                                    dst,
-                                    tenant: req.tenant,
-                                    slots,
-                                    handed,
-                                    remaining: req.bytes - handed,
-                                    direct_bps: direct_true,
-                                    rtt: tr.direct.rtt,
-                                    issued: now,
-                                },
-                            );
-                        }
-                        None => {
-                            let ratio = if slots.is_empty() {
-                                1.0
-                            } else {
-                                bps_true / direct_true.max(1.0)
-                            };
-                            let done = now + completion_time(req.bytes, bps_true, leg_rtt);
-                            queue.schedule(
-                                done,
-                                Ev::Complete {
-                                    tenant: req.tenant,
-                                    slots,
-                                    ratio,
-                                    issued: now,
-                                },
-                            );
-                        }
-                    }
-                }
-                Ev::Complete {
-                    tenant,
-                    slots,
-                    ratio,
-                    issued,
-                } => {
-                    if !slots.is_empty() {
-                        // A completed drain stops these relays' meters now.
-                        fleet.accrue(now.min(horizon).saturating_duration_since(*billed_to));
-                        *billed_to = now.min(horizon).max(*billed_to);
-                        for r in slots.iter() {
-                            fleet.flow_finished(r);
-                        }
-                    }
-                    slo.record_completion(tenant, ratio, now - issued);
-                    *completed_total += 1;
-                }
-                Ev::RemoteEgress {
-                    flow,
-                    dst,
-                    tenant,
-                    slots,
-                    handed,
-                    remaining,
-                    direct_bps,
-                    rtt,
-                    issued,
-                } => {
-                    if !slots.is_empty() {
-                        fleet.accrue(now.min(horizon).saturating_duration_since(*billed_to));
-                        *billed_to = now.min(horizon).max(*billed_to);
-                        for r in slots.iter() {
-                            fleet.flow_finished(r);
-                        }
-                    }
-                    if lg {
-                        ledger.push(RemoteEvent::HandedOff {
-                            flow,
-                            delivered: handed,
-                        });
-                    }
-                    let origin = remote
-                        .as_ref()
-                        .expect("remote event without RemoteCfg")
-                        .region;
-                    *handoffs += 1;
-                    outbox.push(ShardMsg::Handoff {
-                        flow,
-                        dst: NodeAddr::region_gateway(dst as u8).raw(),
-                        origin,
-                        tenant,
-                        remaining,
-                        handed,
-                        direct_bps,
-                        rtt,
-                        issued,
-                    });
-                }
-                Ev::RemoteComplete {
-                    flow,
-                    origin,
-                    tenant,
-                    slots,
-                    ratio,
-                    remaining,
-                    issued,
-                } => {
-                    fleet.accrue(now.min(horizon).saturating_duration_since(*billed_to));
-                    *billed_to = now.min(horizon).max(*billed_to);
-                    for r in slots.iter() {
-                        fleet.flow_finished(r);
-                    }
-                    outbox.push(ShardMsg::Done {
-                        flow,
-                        origin,
-                        tenant,
-                        remaining,
-                        ratio,
-                        latency: now - issued,
-                    });
-                }
-            }
+        self.fleet
+            .accrue(epoch_end.saturating_duration_since(self.billed_to));
+        self.billed_to = epoch_end;
+        let fs0 = self.fleet.stats();
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.sync_states(&self.fleet);
         }
+        self.fleet.rebalance(self.horizon - epoch_end);
 
-        fleet.accrue(epoch_end.saturating_duration_since(*billed_to));
-        *billed_to = epoch_end;
-        fleet.rebalance(horizon - epoch_end);
-
-        let b1 = broker.stats();
-        rows.push(EpochRow {
+        let b1 = self.broker.stats();
+        let row = EpochRow {
             epoch: e,
-            arrivals: arrivals_by_epoch[e as usize].len() as u64,
+            arrivals: self.arrivals_by_epoch[e as usize].len() as u64,
             overlay: b1.overlay - b0.overlay,
             direct: b1.direct - b0.direct,
             denied: b1.denied - b0.denied,
             stale: b1.stale_fallback - b0.stale_fallback,
-            completed: slo.completed() - done0,
-            violations: slo.violations() - viol0,
-            active: fleet.active(),
-            draining: fleet.draining(),
-            util: fleet.utilization(),
-            spend_usd: fleet.spend_usd(),
-        });
+            completed: self.slo.completed() - done0,
+            violations: self.slo.violations() - viol0,
+            active: self.fleet.active(),
+            draining: self.fleet.draining(),
+            util: self.fleet.utilization(),
+            spend_usd: self.fleet.spend_usd(),
+        };
+        self.rows.push(row);
+        if let Some(f) = self.faults.as_deref_mut() {
+            let fs1 = self.fleet.stats();
+            if fs1.scale_ups != fs0.scale_ups || fs1.drains != fs0.drains {
+                obs::span(
+                    epoch_end.as_nanos(),
+                    0,
+                    SpanKind::FleetScale,
+                    u64::from(e),
+                    fs1.scale_ups - fs0.scale_ups,
+                    fs1.drains - fs0.drains,
+                );
+            }
+            let ep = std::mem::take(&mut f.ep);
+            f.rows.push(ChaosRow {
+                epoch: e,
+                arrivals: row.arrivals,
+                retries: ep.retries,
+                overlay: row.overlay,
+                direct: row.direct,
+                denied: row.denied,
+                stale: row.stale,
+                completed: row.completed,
+                killed: ep.killed,
+                violations: row.violations,
+                active: row.active,
+                failed: self.fleet.failed(),
+                availability: f.availability[e as usize],
+                failover_ms: if ep.retries == 0 {
+                    0.0
+                } else {
+                    ep.failover_ns as f64 / ep.retries as f64 / 1e6
+                },
+                goodput_ratio: if row.completed == 0 {
+                    1.0
+                } else {
+                    ep.ratio_sum / row.completed as f64
+                },
+                spend_usd: row.spend_usd,
+            });
+            f.drain_spans();
+        } else {
+            // Only a fault run's post-horizon retries price on the last
+            // epoch's truth; a plain run frees it between epochs.
+            self.truth.clear();
+            self.ptruth.clear();
+        }
     }
 
     /// Drains every event past the horizon. Flows admitted near the
     /// horizon still count for the SLO ledger but accrue no rent past
     /// it (the run's billing window is the configured day); remote legs
-    /// still emit their barrier messages.
+    /// still emit their barrier messages, and killed flows still retry.
     pub(crate) fn drain_tail(&mut self) {
-        let lg = self.remote.as_ref().is_some_and(|r| r.ledger);
         while let Some((now, ev)) = self.queue.pop() {
-            match ev {
-                Ev::Arrive { .. } => unreachable!("arrivals all lie inside the horizon"),
-                Ev::Complete {
-                    tenant,
-                    slots,
-                    ratio,
-                    issued,
-                } => {
-                    for r in slots.iter() {
-                        self.fleet.flow_finished(r);
-                    }
-                    self.slo.record_completion(tenant, ratio, now - issued);
-                    self.completed_total += 1;
-                }
-                Ev::RemoteEgress {
-                    flow,
-                    dst,
-                    tenant,
-                    slots,
-                    handed,
-                    remaining,
-                    direct_bps,
-                    rtt,
-                    issued,
-                } => {
-                    for r in slots.iter() {
-                        self.fleet.flow_finished(r);
-                    }
-                    if lg {
-                        self.ledger.push(RemoteEvent::HandedOff {
-                            flow,
-                            delivered: handed,
-                        });
-                    }
-                    let origin = self
-                        .remote
-                        .as_ref()
-                        .expect("remote event without RemoteCfg")
-                        .region;
-                    self.handoffs += 1;
-                    self.outbox.push(ShardMsg::Handoff {
-                        flow,
-                        dst: NodeAddr::region_gateway(dst as u8).raw(),
-                        origin,
-                        tenant,
-                        remaining,
-                        handed,
-                        direct_bps,
-                        rtt,
-                        issued,
-                    });
-                }
-                Ev::RemoteComplete {
-                    flow,
-                    origin,
-                    tenant,
-                    slots,
-                    ratio,
-                    remaining,
-                    issued,
-                } => {
-                    for r in slots.iter() {
-                        self.fleet.flow_finished(r);
-                    }
-                    self.outbox.push(ShardMsg::Done {
-                        flow,
-                        origin,
-                        tenant,
-                        remaining,
-                        ratio,
-                        latency: now - issued,
-                    });
-                }
-            }
+            self.handle(now, ev);
         }
     }
 
@@ -1310,68 +1116,585 @@ impl ServiceLoop {
     /// path (the relay pools are past their billing window), and
     /// Done/Retry replies land on the origin's SLO ledger as usual.
     pub(crate) fn settle(&mut self, inbox: Vec<ShardMsg>) {
-        let lg = self.remote.as_ref().is_some_and(|r| r.ledger);
-        let horizon = self.horizon;
         for msg in inbox {
-            match msg {
-                ShardMsg::Handoff {
-                    flow,
-                    dst: _,
-                    origin,
-                    tenant,
-                    remaining,
-                    handed: _,
-                    direct_bps,
-                    rtt,
-                    issued,
-                } => {
-                    let done = horizon + completion_time(remaining, direct_bps, rtt);
-                    self.outbox.push(ShardMsg::Done {
+            self.deliver(msg, self.horizon, false);
+        }
+    }
+
+    /// Handles one cross-shard message at `at`. While the epoch's relay
+    /// pools are `open`, a handoff is admitted against them; after the
+    /// horizon it settles on the direct path.
+    fn deliver(&mut self, msg: ShardMsg, at: SimTime, open: bool) {
+        let lg = self.remote.as_ref().is_some_and(|r| r.ledger);
+        match msg {
+            ShardMsg::Handoff {
+                flow,
+                origin,
+                tenant,
+                remaining,
+                direct_bps,
+                rtt,
+                issued,
+                ..
+            } => {
+                // The ingress leg must ride this region's relays: a
+                // handoff is only worth taking onto overlay capacity. No
+                // spare relay (or a deny) bounces the flow back to the
+                // origin for a direct retry.
+                let pi = pair_of(flow, self.pairs.len());
+                let steer = if open {
+                    self.steer(pi, at).filter(|st| !st.hops.is_empty())
+                } else {
+                    None
+                };
+                match steer {
+                    Some(st) => {
+                        let slots = self.claim(pi, &st);
+                        let done = at + completion_time(remaining, st.bps, st.rtt);
+                        self.queue.schedule(
+                            done,
+                            Ev::RemoteComplete {
+                                flow,
+                                origin,
+                                tenant,
+                                slots,
+                                ratio: st.bps / st.direct_bps.max(1.0),
+                                remaining,
+                                issued,
+                            },
+                        );
+                    }
+                    None if open => self.outbox.push(ShardMsg::Retry {
                         flow,
                         origin,
                         tenant,
                         remaining,
-                        ratio: 1.0,
-                        latency: done - issued,
-                    });
-                }
-                ShardMsg::Done {
-                    flow,
-                    origin: _,
-                    tenant,
-                    remaining,
-                    ratio,
-                    latency,
-                } => {
-                    self.slo.record_completion(tenant, ratio, latency);
-                    self.completed_total += 1;
-                    if lg {
-                        self.ledger.push(RemoteEvent::Completed {
+                        direct_bps,
+                        rtt,
+                        issued,
+                    }),
+                    None => {
+                        let done = at + completion_time(remaining, direct_bps, rtt);
+                        self.outbox.push(ShardMsg::Done {
                             flow,
-                            delivered: remaining,
+                            origin,
+                            tenant,
+                            remaining,
+                            ratio: 1.0,
+                            latency: done - issued,
                         });
                     }
                 }
-                ShardMsg::Retry {
+            }
+            ShardMsg::Done {
+                flow,
+                tenant,
+                remaining,
+                ratio,
+                latency,
+                ..
+            } => {
+                self.slo.record_completion(tenant, ratio, latency);
+                self.completed_total += 1;
+                if lg {
+                    self.ledger.push(RemoteEvent::Completed {
+                        flow,
+                        delivered: remaining,
+                    });
+                }
+            }
+            ShardMsg::Retry {
+                flow,
+                tenant,
+                remaining,
+                direct_bps,
+                rtt,
+                issued,
+                ..
+            } => {
+                // Settle the remainder on the origin's direct path.
+                self.retries += 1;
+                let done = at + completion_time(remaining, direct_bps, rtt);
+                self.slo.record_completion(tenant, 1.0, done - issued);
+                self.completed_total += 1;
+                if lg {
+                    self.ledger.push(RemoteEvent::Retried { flow });
+                    self.ledger.push(RemoteEvent::Completed {
+                        flow,
+                        delivered: remaining,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Dispatches one event popped at `now`.
+    fn handle(&mut self, now: SimTime, ev: Ev) {
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.profiling {
+                simcore::profile::leaf(&["chaos", ev.label()], (now - f.prof_last).as_nanos());
+                f.prof_last = now;
+            }
+        }
+        match ev {
+            Ev::Arrive { epoch, idx } => {
+                let req = self.arrivals_by_epoch[epoch as usize][idx as usize];
+                let pi = pair_of(req.client, self.pairs.len());
+                let mut parent = 0;
+                if let Some(f) = self.faults.as_deref_mut() {
+                    parent = obs::span(
+                        now.as_nanos(),
+                        0,
+                        SpanKind::FlowArrive,
+                        req.id,
+                        u64::from(req.tenant),
+                        req.bytes,
+                    );
+                    f.inv.context(now, parent);
+                    f.inv.flow_requested(req.id, req.bytes);
+                }
+                let split = self.remote.as_ref().and_then(|rc| rc.split(req.id));
+                self.admit(req.id, req.tenant, pi, req.bytes, now, now, parent, split);
+            }
+            Ev::Retry(k) => {
+                let f = self
+                    .faults
+                    .as_deref_mut()
+                    .expect("retry without a schedule");
+                f.retries += 1;
+                f.ep.retries += 1;
+                f.ep.failover_ns += u128::from((now - k.crashed_at).as_nanos());
+                let retry = obs::span(
+                    now.as_nanos(),
+                    k.kill_span,
+                    SpanKind::FlowRetry,
+                    k.flow,
+                    k.bytes_left,
+                    0,
+                );
+                self.admit(
+                    k.flow,
+                    k.tenant,
+                    k.pair as usize,
+                    k.bytes_left,
+                    k.issued,
+                    now,
+                    retry,
+                    None,
+                );
+            }
+            Ev::Complete {
+                flow,
+                tenant,
+                slots,
+                ratio,
+                issued,
+                bytes,
+                span,
+            } => {
+                self.release(now, &slots);
+                let breach = self.slo.record_completion(tenant, ratio, now - issued);
+                self.completed_total += 1;
+                if let Some(f) = self.faults.as_deref_mut() {
+                    if !slots.is_empty() {
+                        f.in_flight.remove(&flow);
+                    }
+                    let done = obs::span(
+                        now.as_nanos(),
+                        span,
+                        SpanKind::FlowComplete,
+                        flow,
+                        (now - issued).as_nanos(),
+                        bytes,
+                    );
+                    if breach.any() {
+                        obs::span(
+                            now.as_nanos(),
+                            done,
+                            SpanKind::SloBreach,
+                            flow,
+                            u64::from(tenant),
+                            breach.mask(),
+                        );
+                    }
+                    f.inv.context(now, done);
+                    f.inv.flow_completed(flow, bytes);
+                    f.ep.ratio_sum += ratio;
+                }
+            }
+            Ev::RemoteEgress {
+                flow,
+                dst,
+                tenant,
+                slots,
+                handed,
+                remaining,
+                direct_bps,
+                rtt,
+                issued,
+            } => {
+                self.release(now, &slots);
+                let rc = self.remote.expect("remote event without RemoteCfg");
+                if rc.ledger {
+                    self.ledger.push(RemoteEvent::HandedOff {
+                        flow,
+                        delivered: handed,
+                    });
+                }
+                self.handoffs += 1;
+                self.outbox.push(ShardMsg::Handoff {
                     flow,
-                    origin: _,
+                    dst: NodeAddr::region_gateway(dst as u8).raw(),
+                    origin: rc.region,
                     tenant,
                     remaining,
+                    handed,
                     direct_bps,
                     rtt,
                     issued,
-                } => {
-                    self.retries += 1;
-                    let done = horizon + completion_time(remaining, direct_bps, rtt);
-                    self.slo.record_completion(tenant, 1.0, done - issued);
-                    self.completed_total += 1;
-                    if lg {
-                        self.ledger.push(RemoteEvent::Retried { flow });
-                        self.ledger.push(RemoteEvent::Completed {
+                });
+            }
+            Ev::RemoteComplete {
+                flow,
+                origin,
+                tenant,
+                slots,
+                ratio,
+                remaining,
+                issued,
+            } => {
+                self.release(now, &slots);
+                self.outbox.push(ShardMsg::Done {
+                    flow,
+                    origin,
+                    tenant,
+                    remaining,
+                    ratio,
+                    latency: now - issued,
+                });
+            }
+            Ev::Fault { idx } => self.inject(now, idx),
+        }
+    }
+
+    /// Asks the broker where pair `pi`'s flow goes at `now`; `None` is a
+    /// denial. Both path engines score the choice by ground truth.
+    fn steer(&mut self, pi: usize, now: SimTime) -> Option<Steer> {
+        let fleet = &self.fleet;
+        if self.multihop {
+            let (decision, arm) = self.broker.decide_paths(pi, |n| fleet.group_free(n));
+            let hops = match decision {
+                Decision::Deny => return None,
+                Decision::Direct { .. } => Hops::direct(),
+                Decision::Overlay { node, .. } => Hops::single(node),
+                Decision::Chain { hops, .. } => hops,
+            };
+            let (at, direct) = (self.ptruth[pi][arm], self.ptruth[pi][0]);
+            return Some(Steer {
+                hops,
+                arm: Some(arm),
+                bps: at.bps,
+                rtt: at.rtt,
+                direct_bps: direct.bps,
+                direct_rtt: direct.rtt,
+            });
+        }
+        let (s, c) = self.pairs[pi];
+        let tr = &self.truth[pi];
+        let (hops, bps, rtt) = match self.broker.decide(s, c, now, |n| fleet.group_free(n)) {
+            Decision::Deny => return None,
+            Decision::Chain { .. } => unreachable!("one-hop broker never emits chains"),
+            Decision::Direct { .. } => (Hops::direct(), tr.direct.throughput_bps, tr.direct.rtt),
+            Decision::Overlay { node, .. } => {
+                let rtt = tr
+                    .overlays
+                    .iter()
+                    .find(|o| o.node == node)
+                    .map_or(tr.direct.rtt, |o| o.split.rtt);
+                (
+                    Hops::single(node),
+                    achieved(tr, PathChoice::Overlay(node)),
+                    rtt,
+                )
+            }
+        };
+        Some(Steer {
+            hops,
+            arm: None,
+            bps,
+            rtt,
+            direct_bps: tr.direct.throughput_bps,
+            direct_rtt: tr.direct.rtt,
+        })
+    }
+
+    /// Claims the steered path's relay slots; a bandit arm also learns
+    /// the carried flow's rate for free.
+    fn claim(&mut self, pi: usize, st: &Steer) -> SlotHops {
+        let slots = claim_slots(&mut self.fleet, &st.hops);
+        if let Some(arm) = st.arm {
+            self.broker.learn_path(pi, arm, st.bps);
+        }
+        slots
+    }
+
+    /// One admission (first attempt or failover retry) through the
+    /// broker. `parent` is the arrive or retry span; `split` marks a
+    /// cross-region flow.
+    #[allow(clippy::too_many_arguments)]
+    fn admit(
+        &mut self,
+        flow: u64,
+        tenant: u32,
+        pi: usize,
+        bytes: u64,
+        issued: SimTime,
+        now: SimTime,
+        parent: u64,
+        split: Option<(u64, u32)>,
+    ) {
+        let lg = self.remote.as_ref().is_some_and(|r| r.ledger);
+        let Some(st) = self.steer(pi, now) else {
+            self.slo.record_denial(tenant);
+            if let Some(f) = self.faults.as_deref_mut() {
+                let admitted = obs::span(now.as_nanos(), parent, SpanKind::Admit, flow, 0, 0);
+                // A denial breaches immediately (mask 4): charged here so
+                // the attribution walk can reach the causing fault via
+                // the retry/kill chain above `parent`.
+                obs::span(
+                    now.as_nanos(),
+                    admitted,
+                    SpanKind::SloBreach,
+                    flow,
+                    u64::from(tenant),
+                    4,
+                );
+                f.inv.context(now, admitted);
+                f.inv.flow_denied(flow);
+            }
+            if lg {
+                if let Some((gid, _)) = split {
+                    self.ledger
+                        .push(RemoteEvent::Requested { flow: gid, bytes });
+                    self.ledger.push(RemoteEvent::Denied { flow: gid });
+                }
+            }
+            return;
+        };
+        let slots = self.claim(pi, &st);
+        let mut span = 0;
+        if let Some(f) = self.faults.as_deref_mut() {
+            // Span arg a encodes the path (1 direct, 2 one relay, more
+            // for longer chains); b names the ingress relay.
+            span = obs::span(
+                now.as_nanos(),
+                parent,
+                SpanKind::Admit,
+                flow,
+                1 + slots.len() as u64,
+                slots.first().map_or(0, |r| r as u64 + 1),
+            );
+            for r in slots.iter() {
+                f.inv.set_relay_state(r, self.fleet.relay_state(r));
+            }
+            f.inv.context(now, span);
+            if self.multihop {
+                f.inv
+                    .flow_admitted_path(flow, &slots.iter().collect::<Vec<_>>());
+            } else {
+                f.inv.flow_admitted(flow, slots.first());
+            }
+        }
+        match split {
+            Some((gid, dst)) => {
+                let handed = bytes / 2;
+                if lg {
+                    self.ledger
+                        .push(RemoteEvent::Requested { flow: gid, bytes });
+                }
+                let done = now + completion_time(handed, st.bps, st.rtt);
+                self.queue.schedule(
+                    done,
+                    Ev::RemoteEgress {
+                        flow: gid,
+                        dst,
+                        tenant,
+                        slots,
+                        handed,
+                        remaining: bytes - handed,
+                        direct_bps: st.direct_bps,
+                        rtt: st.direct_rtt,
+                        issued: now,
+                    },
+                );
+            }
+            None => {
+                let ratio = if slots.is_empty() {
+                    1.0
+                } else {
+                    st.bps / st.direct_bps.max(1.0)
+                };
+                let done = now + completion_time(bytes, st.bps, st.rtt);
+                let handle = self.queue.schedule(
+                    done,
+                    Ev::Complete {
+                        flow,
+                        tenant,
+                        slots,
+                        ratio,
+                        issued,
+                        bytes,
+                        span,
+                    },
+                );
+                if let Some(f) = self.faults.as_deref_mut() {
+                    if !slots.is_empty() {
+                        f.in_flight.insert(
                             flow,
-                            delivered: remaining,
-                        });
+                            InFlight {
+                                handle,
+                                tenant,
+                                slots,
+                                issued,
+                                started: now,
+                                done_at: done,
+                                bytes,
+                            },
+                        );
                     }
+                }
+            }
+        }
+    }
+
+    /// Frees a finished leg's relay slots. Rent accrues first, so a
+    /// completed drain stops these relays' meters now (never past the
+    /// horizon, the run's billing window).
+    fn release(&mut self, now: SimTime, slots: &SlotHops) {
+        if slots.is_empty() {
+            return;
+        }
+        let t = now.min(self.horizon);
+        self.fleet
+            .accrue(t.saturating_duration_since(self.billed_to));
+        self.billed_to = t.max(self.billed_to);
+        for r in slots.iter() {
+            self.fleet.flow_finished(r);
+        }
+    }
+
+    /// Injects scheduled fault `idx` at `now`.
+    fn inject(&mut self, now: SimTime, idx: u32) {
+        let f = self
+            .faults
+            .as_deref_mut()
+            .expect("fault without a schedule");
+        let fault = f.schedule.events()[idx as usize];
+        obs::trace(
+            now.as_nanos(),
+            0,
+            obs::TraceKind::FaultInjected,
+            fault.kind.discriminant(),
+            fault.kind.target(),
+        );
+        let fault_span = obs::span(
+            now.as_nanos(),
+            0,
+            SpanKind::FaultInject,
+            u64::from(idx),
+            fault.kind.discriminant(),
+            fault.kind.target(),
+        );
+        f.inv.context(now, fault_span);
+        match fault.kind {
+            FaultKind::RelayCrash { relay } => {
+                // Rent accrues up to the crash; a dead VM bills nothing
+                // from here on.
+                self.fleet
+                    .accrue(now.saturating_duration_since(self.billed_to));
+                self.billed_to = now.max(self.billed_to);
+                let killed = self.fleet.crash(relay);
+                f.inv.relay_crashed(relay, now);
+                let victims: Vec<u64> = f
+                    .in_flight
+                    .iter()
+                    .filter(|(_, fl)| fl.slots.iter().any(|r| r == relay))
+                    .map(|(&flow, _)| flow)
+                    .collect();
+                debug_assert_eq!(killed as usize, victims.len());
+                for flow in victims {
+                    let fl = f.in_flight.remove(&flow).expect("tracked flow");
+                    assert!(self.queue.cancel(fl.handle), "completion already fired");
+                    // A mid-chain kill also releases the surviving legs:
+                    // their meters stop and they drop the flow (the crash
+                    // cleared the crashed leg wholesale).
+                    for r in fl.slots.iter().filter(|&r| r != relay) {
+                        self.fleet.flow_finished(r);
+                    }
+                    // Bytes already on the wire when the VM died:
+                    // pro-rata over the segment.
+                    let total = (fl.done_at - fl.started).as_nanos().max(1);
+                    let elapsed = (now - fl.started).as_nanos();
+                    let delivered =
+                        ((u128::from(fl.bytes) * u128::from(elapsed)) / u128::from(total)) as u64;
+                    let kill = obs::span(
+                        now.as_nanos(),
+                        fault_span,
+                        SpanKind::FlowKill,
+                        flow,
+                        fl.bytes - delivered,
+                        relay as u64,
+                    );
+                    f.inv.context(now, kill);
+                    f.inv.flow_killed(flow, delivered);
+                    f.killed += 1;
+                    f.ep.killed += 1;
+                    // The retry's pair: the id's low word is the flow's
+                    // generation sequence, read as a position in its
+                    // epoch's time-sorted arrivals — usually another
+                    // arrival's pair. The chaos goldens pin this mapping.
+                    let req = &self.arrivals_by_epoch[(flow >> 32) as usize]
+                        [(flow & 0xFFFF_FFFF) as usize];
+                    let pair = pair_of(req.client, self.pairs.len()) as u32;
+                    self.queue.schedule(
+                        now + f.detect_after,
+                        Ev::Retry(Killed {
+                            flow,
+                            tenant: fl.tenant,
+                            pair,
+                            bytes_left: fl.bytes - delivered,
+                            issued: fl.issued,
+                            crashed_at: now,
+                            kill_span: kill,
+                        }),
+                    );
+                }
+            }
+            FaultKind::RelayRestore { relay } => {
+                self.fleet.restore(relay);
+                f.inv.relay_restored(relay, now);
+            }
+            FaultKind::LinkDegrade { salt, severity } => {
+                if !f.flap_victims.is_empty() {
+                    let link = f.flap_victims[(salt % f.flap_victims.len() as u64) as usize];
+                    f.degraded.insert(salt, (link, severity));
+                    let l = self.world.net.link_mut(link);
+                    l.set_level(l.level().max(severity));
+                }
+            }
+            FaultKind::LinkClear { salt } => {
+                f.degraded.remove(&salt);
+            }
+            FaultKind::ProbeBlackholeStart => f.blackhole_depth += 1,
+            FaultKind::ProbeBlackholeEnd => f.blackhole_depth -= 1,
+            FaultKind::CachePoison { age } => {
+                if self.multihop {
+                    // The bandits' analogue of a poisoned probe cache:
+                    // confidence is forgotten, so the next refreshes
+                    // re-explore.
+                    self.broker.poison_paths();
+                } else {
+                    self.broker.age_probes(age);
                 }
             }
         }
@@ -1387,6 +1710,11 @@ impl ServiceLoop {
         std::mem::take(&mut self.ledger)
     }
 
+    /// Cross-region handoffs sent and bounced handoffs retried.
+    pub(crate) fn remote_counts(&self) -> (u64, u64) {
+        (self.handoffs, self.retries)
+    }
+
     /// Exact spend as `f64` bits, for the ordered global rollup.
     pub(crate) fn spend_bits(&self) -> u64 {
         self.fleet.spend_usd().to_bits()
@@ -1397,19 +1725,17 @@ impl ServiceLoop {
         self.fleet.set_budget(budget_usd);
     }
 
-    /// Finishes the run: publishes telemetry (under `prefix` when
-    /// given, e.g. `control.` or `control.shard3.`; the route cache is
-    /// always published unprefixed) and returns the report.
-    pub(crate) fn into_report(self, prefix: Option<&str>) -> ServiceReport {
-        if let Some(p) = prefix {
-            self.broker.publish_prefixed(p);
-            self.fleet.publish_prefixed(p);
-            self.slo.publish_prefixed(p);
-            self.cache.publish();
-            if self.remote.is_some() {
-                obs::add_named(&format!("{p}remote.handoffs"), self.handoffs);
-                obs::add_named(&format!("{p}remote.retries"), self.retries);
-            }
+    /// Finishes the run: publishes telemetry under `prefix` (e.g.
+    /// `control.` or `control.shard3.`; the route cache is always
+    /// published unprefixed) and returns the report.
+    pub(crate) fn into_report(self, prefix: &str) -> ServiceReport {
+        self.broker.publish_prefixed(prefix);
+        self.fleet.publish_prefixed(prefix);
+        self.slo.publish_prefixed(prefix);
+        self.cache.publish();
+        if self.remote.is_some() {
+            obs::add_named(&format!("{prefix}remote.handoffs"), self.handoffs);
+            obs::add_named(&format!("{prefix}remote.retries"), self.retries);
         }
         ServiceReport {
             rows: self.rows,
@@ -1420,6 +1746,56 @@ impl ServiceLoop {
             spend_usd: self.fleet.spend_usd(),
             budget_usd: self.cfg.fleet.budget_usd,
             slo: self.slo,
+        }
+    }
+
+    /// Finishes a run under a fault schedule: the checker's end-of-run
+    /// verdict, the last span drain and fault attribution, then the
+    /// telemetry of [`ServiceLoop::into_report`] plus the fault and
+    /// check-site counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the loop was built without a schedule.
+    pub(crate) fn into_chaos_report(mut self, prefix: &str) -> ChaosReport {
+        let mut f = *self.faults.take().expect("a run under a fault schedule");
+        // End-of-run checks carry no span; stamp them with the horizon.
+        f.inv.context(self.horizon, 0);
+        f.inv.finish();
+        f.drain_spans();
+        let attribution = Attribution::attribute(&f.spans);
+        let report = self.into_report(prefix);
+        let counts = f.schedule.counts();
+        obs::add_named("faults.injected", f.schedule.len() as u64);
+        obs::add_named("faults.relay_crashes", counts.crashes);
+        obs::add_named("faults.relay_restores", counts.restores);
+        obs::add_named("faults.link_degradations", counts.degradations);
+        obs::add_named("faults.probe_blackholes", counts.blackholes);
+        obs::add_named("faults.cache_poisonings", counts.poisons);
+        obs::add_named("faults.flows_killed", f.killed);
+        obs::add_named("faults.retries", f.retries);
+        obs::add_named("obs.spans_dropped", f.span_dropped);
+        // Invariant check-site hit counts: the fuzzer's coverage map
+        // keys on which checks a schedule actually reached.
+        for (site, n) in f.inv.site_counts() {
+            obs::add_named(&format!("faults.check.{site}"), n);
+        }
+        ChaosReport {
+            rows: f.rows,
+            broker: report.broker,
+            fleet: report.fleet,
+            slo: report.slo,
+            faults: counts,
+            arrivals: report.arrivals,
+            killed: f.killed,
+            retries: f.retries,
+            completed: report.completed,
+            spend_usd: report.spend_usd,
+            budget_usd: report.budget_usd,
+            invariant_violations: f.inv.violations().to_vec(),
+            spans: f.spans,
+            span_dropped: f.span_dropped,
+            attribution,
         }
     }
 }
@@ -1434,20 +1810,9 @@ impl ServiceLoop {
 /// cadence, or no routable server/client pair).
 #[must_use]
 pub fn service(cfg: &ServiceConfig, seed: u64) -> ServiceReport {
-    if cfg.fidelity != Fidelity::Des {
-        assert_eq!(
-            cfg.paths,
-            PathsPolicy::OneHop,
-            "multihop paths require DES fidelity (chains have no analytic shortcut)"
-        );
-        return crate::hybrid::service_hybrid(cfg, seed);
-    }
     let mut svc = ServiceLoop::new(cfg, seed, None);
-    for e in 0..cfg.workload.epochs {
-        svc.run_epoch(e, Vec::new());
-    }
-    svc.drain_tail();
-    svc.into_report(Some("control."))
+    svc.run_day();
+    svc.into_report("control.")
 }
 
 #[cfg(test)]
@@ -1478,6 +1843,28 @@ mod tests {
         assert!(r.spend_usd <= r.budget_usd + 1e-9, "spend over budget");
         assert!(r.broker.overlay > 0, "no overlay admissions");
         assert!(r.broker.stale_fallback > 0, "staleness never bit");
+    }
+
+    #[test]
+    fn flow_hashes_match_known_answers() {
+        // Pinned outputs of the two finalizer-based flow hashes: a slip
+        // in the shared finalizer or in a caller's pre-mix would quietly
+        // reshuffle every workload's pairs or cross-region flows.
+        assert_eq!(pair_of(0, 1100), 0);
+        assert_eq!(pair_of(1, 1100), 1035);
+        assert_eq!(pair_of(42, 1100), 142);
+        assert_eq!(pair_of(123_456_789, 768), 356);
+        let rc = RemoteCfg {
+            region: 3,
+            regions: 8,
+            permille: 60,
+            ledger: false,
+        };
+        assert_eq!(rc.split(0), None);
+        assert_eq!(rc.split(1), Some(((3 << 48) | 1, 5)));
+        assert_eq!(rc.split(2), None);
+        assert_eq!(rc.split(6), Some(((3 << 48) | 6, 5)));
+        assert_eq!(rc.split(7), Some(((3 << 48) | 7, 6)));
     }
 
     #[test]

@@ -74,10 +74,7 @@ mod tests {
     impl Gen {
         fn next_u64(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            simcore::rng::mix64(self.0)
         }
 
         /// A vector of `len in 1..20` router ids drawn from `0..m`.

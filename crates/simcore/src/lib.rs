@@ -33,7 +33,7 @@
 
 mod event;
 pub mod profile;
-mod rng;
+pub mod rng;
 mod time;
 mod token;
 

@@ -70,35 +70,6 @@ pub enum Fidelity {
     Analytic,
 }
 
-impl Fidelity {
-    /// Parses a CLI-style fidelity name (`des`, `hybrid`, `analytic`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Fidelity> {
-        match s {
-            "des" => Some(Fidelity::Des),
-            "hybrid" => Some(Fidelity::Hybrid),
-            "analytic" => Some(Fidelity::Analytic),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Fidelity::Des => "des",
-            Fidelity::Hybrid => "hybrid",
-            Fidelity::Analytic => "analytic",
-        }
-    }
-}
-
-impl std::fmt::Display for Fidelity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Knobs of the hybrid promotion machinery.
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
@@ -1059,14 +1030,5 @@ mod tests {
                 Err(FaultInjectionError::InvalidLoss { .. })
             ));
         }
-    }
-
-    #[test]
-    fn fidelity_parse_round_trips() {
-        for f in [Fidelity::Des, Fidelity::Hybrid, Fidelity::Analytic] {
-            assert_eq!(Fidelity::parse(f.as_str()), Some(f));
-            assert_eq!(f.to_string(), f.as_str());
-        }
-        assert_eq!(Fidelity::parse("packet"), None);
     }
 }

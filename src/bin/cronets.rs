@@ -38,7 +38,6 @@ use std::process::ExitCode;
 
 use cronets_repro::experiments as exp;
 use transport::des::CouplingAlg;
-use transport::Fidelity;
 
 const EXPERIMENTS: &[(&str, &str)] = &[
     (
@@ -103,7 +102,7 @@ const RESULTS_DIR: &str = "results";
 
 fn usage() {
     eprintln!(
-        "usage: cronets <experiment|list|all|report|fuzz|soak> [--seed N] [--threads N] [--smoke] [--planet] [--shards S] [--fidelity F] [--paths P] [--khops K] [--metrics] [--trace FLOW] [--spans] [--profile] [--budget N] [--resume CKPT] [--stop-after N]"
+        "usage: cronets <experiment|list|all|report|fuzz|soak> [--seed N] [--threads N] [--smoke] [--planet] [--shards S] [--paths P] [--khops K] [--metrics] [--trace FLOW] [--spans] [--profile] [--budget N] [--resume CKPT] [--stop-after N]"
     );
     eprintln!(
         "  --seed N      PRNG seed (default {})",
@@ -111,20 +110,18 @@ fn usage() {
     );
     eprintln!("  --threads N   worker threads (default: available parallelism);");
     eprintln!("                output is byte-identical at any thread count");
-    eprintln!("  --smoke       CI-sized run (service and chaos experiments only)");
+    eprintln!("  --smoke       CI-sized run (service, chaos, multihop, accuracy,");
+    eprintln!("                fuzz and soak)");
     eprintln!("  --planet      (service/chaos) planetary scale: the per-region");
     eprintln!("                control plane replicated over the region fabric");
-    eprintln!("                (64 regions full, 8 with --smoke); DES fidelity only");
+    eprintln!("                (64 regions full, 8 with --smoke)");
     eprintln!("  --shards S    (service/chaos, with --planet) worker lanes for the");
     eprintln!("                per-region shards, S >= 1 (default 1); output is");
     eprintln!("                byte-identical for any (--shards, --threads)");
-    eprintln!("  --fidelity F  service/chaos simulation fidelity: des (default,");
-    eprintln!("                full event-driven day), hybrid (overlay flows exact,");
-    eprintln!("                direct-path mass settled analytically) or analytic");
     eprintln!("  --paths P     service/chaos path engine: onehop (default, the");
     eprintln!("                paper's probe-cache broker) or multihop (k-hop");
-    eprintln!("                chains with online-bandit selection; multihop");
-    eprintln!("                uses --khops chains and runs DES fidelity only)");
+    eprintln!("                chains with online-bandit selection over --khops");
+    eprintln!("                chains)");
     eprintln!("  --khops K     chain-length bound for multihop/multihop runs,");
     eprintln!("                1..=3 (default 2)");
     eprintln!("  --metrics     collect telemetry; print a metric snapshot and");
@@ -221,7 +218,6 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                 } else {
                     exp::service::ServiceConfig::paper()
                 };
-                cfg.fidelity = opts.fidelity;
                 cfg.paths = opts.paths;
                 cfg.khops = opts.khops;
                 exp::service::service(&cfg, seed)
@@ -247,7 +243,6 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                 } else {
                     exp::chaos::ChaosConfig::paper()
                 };
-                cfg.service.fidelity = opts.fidelity;
                 cfg.service.paths = opts.paths;
                 cfg.service.khops = opts.khops;
                 exp::chaos::chaos(&cfg, seed)
@@ -342,7 +337,6 @@ struct Opts {
     shards: usize,
     spans: bool,
     profile: bool,
-    fidelity: Fidelity,
     paths: control::PathsPolicy,
     khops: usize,
     trace_flow: Option<u64>,
@@ -363,7 +357,6 @@ impl Default for Opts {
             shards: 1,
             spans: false,
             profile: false,
-            fidelity: Fidelity::Des,
             paths: control::PathsPolicy::OneHop,
             khops: 2,
             trace_flow: None,
@@ -638,13 +631,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--fidelity" => match it.next().map(String::as_str).and_then(Fidelity::parse) {
-                Some(f) => opts.fidelity = f,
-                None => {
-                    eprintln!("--fidelity needs one of: des, hybrid, analytic");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--paths" => match it
                 .next()
                 .map(String::as_str)
@@ -720,18 +706,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let cmd = cmd.as_str();
-    // The multihop bandit engine is DES-only: the hybrid/analytic loop
-    // settles the direct-path mass arithmetically and has no chain
-    // dataplane. Refuse the combination up front, for every command.
-    if opts.paths == control::PathsPolicy::MultiHop && opts.fidelity != Fidelity::Des {
-        eprintln!(
-            "error: --paths multihop runs DES fidelity only; --fidelity {} has no \
-             multihop dataplane (drop --paths multihop or use --fidelity des)",
-            opts.fidelity
-        );
-        usage();
-        return ExitCode::FAILURE;
-    }
     // The sharded control plane is a service/chaos DES engine: reject
     // the planetary flags anywhere they cannot mean anything.
     if (opts.planet || opts.shards > 1) && !matches!(cmd, "service" | "chaos") {
@@ -743,24 +717,6 @@ fn main() -> ExitCode {
         eprintln!(
             "error: --shards needs --planet (the classic single-region run has \
              nothing to shard; its output is already byte-identical at any --threads N)"
-        );
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if opts.planet && opts.fidelity != Fidelity::Des {
-        eprintln!(
-            "error: --planet runs DES fidelity only (cross-region handoffs have no \
-             analytic shortcut); drop --fidelity {}",
-            opts.fidelity
-        );
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if cmd == "soak" && opts.fidelity != Fidelity::Des {
-        eprintln!(
-            "error: cronets soak runs DES fidelity only (it alternates the onehop \
-             and multihop engines day by day); drop --fidelity {}",
-            opts.fidelity
         );
         usage();
         return ExitCode::FAILURE;

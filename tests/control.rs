@@ -167,10 +167,12 @@ fn cli_rejects_unknown_experiments_with_usage() {
 
 #[test]
 fn cli_rejects_unknown_flags_with_usage() {
-    let (ok, err) = run_cli(&["service", "--frobnicate"]);
-    assert!(!ok, "unknown flag must exit non-zero");
-    assert!(err.contains("unknown option"), "stderr: {err}");
-    assert!(err.contains("usage:"), "stderr: {err}");
+    for flag in ["--frobnicate", "--fidelity"] {
+        let (ok, err) = run_cli(&["service", flag, "des"]);
+        assert!(!ok, "unknown flag {flag} must exit non-zero");
+        assert!(err.contains("unknown option"), "stderr: {err}");
+        assert!(err.contains("usage:"), "stderr: {err}");
+    }
 }
 
 #[test]

@@ -146,26 +146,6 @@ fn chaos_run_is_thread_invariant() {
 }
 
 #[test]
-fn hybrid_service_is_thread_invariant() {
-    // The hybrid-fidelity service loop settles the direct-path mass
-    // analytically; it must remain a pure function of (config, seed) —
-    // stdout, epoch table and metric snapshot byte-identical at any
-    // thread count.
-    assert_thread_invariant("service", &["--smoke", "--fidelity", "hybrid", "--metrics"]);
-}
-
-#[test]
-fn hybrid_chaos_is_thread_invariant() {
-    // The hybrid chaos loop adds the fault heap, exact overlay kills /
-    // retries and incremental route repair; spans and the attribution
-    // table must be byte-identical at any thread count too.
-    assert_thread_invariant(
-        "chaos",
-        &["--smoke", "--fidelity", "hybrid", "--metrics", "--spans"],
-    );
-}
-
-#[test]
 fn multihop_experiment_is_thread_invariant() {
     // The k-hop path engine fans candidate evaluation out per pair and
     // gives each pair's bandit its own RNG substream; the policy

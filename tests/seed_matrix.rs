@@ -196,29 +196,6 @@ fn multihop_smoke_matrix_matches_goldens() {
 }
 
 #[test]
-fn explicit_des_fidelity_matches_default_across_seed_matrix() {
-    // `--fidelity des` must be a no-op: the flag routes through the same
-    // full-DES loop the goldens above pin, for every matrix seed, in
-    // both the service and chaos experiments.
-    for seed in ["7", "11", "13"] {
-        for (exp, file) in [("service", "service.tsv"), ("chaos", "chaos.tsv")] {
-            let (out_default, tsv_default) = run(
-                &format!("seedmat_fid_default_{exp}_{seed}"),
-                &[exp, "--smoke", "--seed", seed],
-                file,
-            );
-            let (out_des, tsv_des) = run(
-                &format!("seedmat_fid_des_{exp}_{seed}"),
-                &[exp, "--smoke", "--seed", seed, "--fidelity", "des"],
-                file,
-            );
-            assert_eq!(out_default, out_des, "{exp} seed {seed}: stdout shifted");
-            assert_eq!(tsv_default, tsv_des, "{exp} seed {seed}: {file} shifted");
-        }
-    }
-}
-
-#[test]
 fn chaos_attribution_matrix_matches_goldens() {
     // Golden: the first fault's charge row and the final unattributed
     // row of results/attribution.tsv — pinning the span stream, the

@@ -220,26 +220,6 @@ fn shards_flag_rejects_non_numeric() {
 }
 
 #[test]
-fn planet_rejects_non_des_fidelity() {
-    assert_rejected(
-        &["service", "--planet", "--smoke", "--fidelity", "hybrid"],
-        "--planet runs DES fidelity only",
-    );
-    assert_rejected(
-        &[
-            "chaos",
-            "--planet",
-            "--smoke",
-            "--shards",
-            "4",
-            "--fidelity",
-            "analytic",
-        ],
-        "--planet runs DES fidelity only",
-    );
-}
-
-#[test]
 fn planet_flags_reject_other_commands() {
     assert_rejected(
         &["fig2", "--planet"],
@@ -257,4 +237,79 @@ fn shards_flag_requires_planet() {
         &["service", "--smoke", "--shards", "4"],
         "--shards needs --planet",
     );
+}
+
+/// The `control.*` counters of a `--metrics` snapshot, by name.
+fn control_counters(stdout: &str) -> BTreeMap<String, f64> {
+    stdout
+        .lines()
+        .filter_map(|l| {
+            let mut cols = l.split_whitespace();
+            let name = cols.next()?.strip_prefix("control.")?;
+            Some((name.to_string(), cols.next()?.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The (arrivals, completed, denied) of a run's summary line.
+fn summary_counts(stdout: &str) -> (u64, u64, u64) {
+    let words: Vec<&str> = stdout
+        .lines()
+        .next()
+        .unwrap_or_default()
+        .split(' ')
+        .collect();
+    let count = |after: &str| -> u64 {
+        let i = words.iter().position(|w| w.trim_end_matches(',') == after);
+        let i = i.unwrap_or_else(|| panic!("no {after:?} in summary: {words:?}"));
+        words[i - 1].parse().expect("count")
+    };
+    (count("arrivals"), count("completed"), count("denied"))
+}
+
+/// Every per-shard counter `control.shard<k>.<name>` has a merged
+/// `control.<name>`, and the merged value is the per-shard sum (folded
+/// in shard order, as the engine folds spends). Every workload flow
+/// ends either completed or denied, so the summary's two counts add up
+/// to the arrivals.
+fn assert_rollup(experiment: &str) {
+    let (out, _) = planet_run(&format!("rollup_{experiment}"), experiment, &[], 7, 4, 1);
+    let counters = control_counters(&out);
+    let mut sums: BTreeMap<&str, f64> = BTreeMap::new();
+    for shard in 0.. {
+        let prefix = format!("shard{shard}.");
+        let mut any = false;
+        for (name, v) in &counters {
+            if let Some(rest) = name.strip_prefix(&prefix) {
+                *sums.entry(rest).or_insert(0.0) += v;
+                any = true;
+            }
+        }
+        if !any {
+            break;
+        }
+    }
+    assert!(sums.len() >= 27, "{experiment}: too few per-shard counters");
+    for (name, sum) in sums {
+        let merged = counters
+            .get(name)
+            .unwrap_or_else(|| panic!("{experiment}: no merged control.{name}"));
+        assert_eq!(*merged, sum, "{experiment}: control.{name} != shard sum");
+    }
+    let (arrivals, completed, denied) = summary_counts(&out);
+    assert_eq!(
+        completed + denied,
+        arrivals,
+        "{experiment}: completed + denied must cover the arrivals"
+    );
+}
+
+#[test]
+fn planet_service_counters_roll_up() {
+    assert_rollup("service");
+}
+
+#[test]
+fn planet_chaos_counters_roll_up() {
+    assert_rollup("chaos");
 }

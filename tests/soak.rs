@@ -115,32 +115,6 @@ fn soak_is_thread_invariant() {
 }
 
 #[test]
-fn soak_rejects_non_des_fidelity_with_usage() {
-    let dir = scratch_dir("soak_reject_fidelity");
-    let err = run_in_expect_failure(&dir, &["soak", "--smoke", "--fidelity", "hybrid"]);
-    assert!(err.contains("DES fidelity only"), "stderr: {err}");
-    assert!(err.contains("usage: cronets"), "rejection must print usage");
-}
-
-#[test]
-fn chaos_rejects_hybrid_fidelity_with_multihop_paths() {
-    let dir = scratch_dir("chaos_reject_combo");
-    let err = run_in_expect_failure(
-        &dir,
-        &[
-            "chaos",
-            "--smoke",
-            "--fidelity",
-            "hybrid",
-            "--paths",
-            "multihop",
-        ],
-    );
-    assert!(err.contains("multihop"), "stderr: {err}");
-    assert!(err.contains("usage: cronets"), "rejection must print usage");
-}
-
-#[test]
 fn soak_rejects_metrics_and_misplaced_flags() {
     let dir = scratch_dir("soak_reject_flags");
     let err = run_in_expect_failure(&dir, &["soak", "--smoke", "--metrics"]);
