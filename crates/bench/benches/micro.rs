@@ -22,8 +22,6 @@ use faults::FaultSchedule;
 use simcore::{EventQueue, SimDuration, SimTime};
 use topology::gen::{generate, InternetConfig};
 use transport::des::{DesPath, Netsim, TransferConfig};
-use transport::hybrid::HybridSim;
-use transport::Fidelity;
 
 /// Times `f` over `iters` iterations, `reps` times; returns the median
 /// ns/iter.
@@ -61,19 +59,6 @@ fn bench_des_tcp() -> f64 {
     })
 }
 
-/// The same 1-second 100 Mbps transfer as `des_tcp_1s_100mbps`, run at
-/// hybrid fidelity: the steady phase is settled analytically and only
-/// the ramp is simulated, so the ratio of these two keys is the
-/// transport-level hybrid speedup.
-fn bench_hybrid_tcp() -> f64 {
-    bench(20, 7, || {
-        let mut sim = HybridSim::new(1, Fidelity::Hybrid);
-        let l = sim.add_link(100_000_000, SimDuration::from_millis(20), 1e-4, 1 << 20);
-        let f = sim.add_tcp_flow(DesPath::new(vec![l]), &TransferConfig::for_secs(1));
-        sim.run().remove(f).bytes_delivered
-    })
-}
-
 /// The event queue drained through `pop_batch` (one timestamp read per
 /// same-tick batch) over the same workload as `event_queue_push_pop_10k`
 /// — the dispatch path the DES engine's hot loop uses.
@@ -89,45 +74,6 @@ fn bench_event_queue_coalesced() -> f64 {
             drained += batch.len();
         }
         drained
-    })
-}
-
-/// One incremental repair + restore cycle of a warmed paper-scale route
-/// cache around a failed inter-AS link: the delta-Dijkstra cost the
-/// chaos control plane pays per severe degradation, vs rebuilding the
-/// affected prefix of the cache from scratch.
-fn bench_route_repair() -> f64 {
-    let mut net = generate(&InternetConfig::paper_scale(), 7);
-    let stubs: Vec<topology::AsId> = net
-        .ases()
-        .filter(|a| a.tier() == topology::AsTier::Stub)
-        .map(|a| a.id())
-        .collect();
-    let a = net.attach_host("a", stubs[0], 100_000_000);
-    let hosts: Vec<topology::RouterId> = (0..16)
-        .map(|i| {
-            net.attach_host(
-                &format!("h{i}"),
-                stubs[(i * 3 + 5) % stubs.len()],
-                100_000_000,
-            )
-        })
-        .collect();
-    let mut cache = routing::RouteCache::build(&net);
-    let keys: Vec<_> = hosts.iter().map(|&h| (a, h)).collect();
-    cache.prefetch(&net, &keys);
-    let victim = cache
-        .route(&net, a, hosts[0])
-        .expect("prefetched pair must route")
-        .links()
-        .iter()
-        .copied()
-        .find(|&l| net.link(l).kind().is_inter_as())
-        .expect("paper-scale paths cross AS boundaries");
-    bench(200, 7, || {
-        let patched = cache.repair(&net, &[victim]);
-        cache.restore(&net, &[victim]);
-        patched
     })
 }
 
@@ -501,11 +447,9 @@ fn main() {
         ("event_queue_push_pop_10k", bench_event_queue()),
         ("event_queue_coalesced_10k", bench_event_queue_coalesced()),
         ("des_tcp_1s_100mbps", bench_des_tcp()),
-        ("hybrid_tcp_1s_100mbps", bench_hybrid_tcp()),
         ("bgp_table_paper_scale", bench_bgp()),
         ("route_expand_paper_scale", bench_route_expansion()),
         ("route_cache_hit", bench_route_cache_hit()),
-        ("route_repair_incremental", bench_route_repair()),
         ("parallel_sweep_tiny", bench_parallel_sweep()),
         ("c45_fit_2k_rows", bench_c45()),
         ("metrics_add_disabled", bench_metrics_disabled()),

@@ -3,7 +3,7 @@
 //! The paper's abstract claims CRONets improves throughput "at a tenth of
 //! the cost of leasing private lines of comparable performance", and its
 //! introduction cites MPLS/leased-line prices "up to a hundredth" of
-//! Internet transit [16], [30]. This module encodes a 2015-era price book
+//! Internet transit \[16\], \[30\]. This module encodes a 2015-era price book
 //! (Softlayer-style virtual servers with port-speed and traffic-volume
 //! tiers; distance- and bandwidth-priced leased lines) so the comparison
 //! can be regenerated as an experiment.

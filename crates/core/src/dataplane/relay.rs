@@ -1,6 +1,6 @@
 //! The split-TCP relay: a real TCP proxy over `std::net`.
 //!
-//! Protocol: the client connects and sends one [`Frame`] whose `addr` is
+//! Protocol: the client connects and sends one [`Frame`](super::Frame) whose `addr` is
 //! the destination (`payload` is ignored in the hello); the relay opens a
 //! second TCP connection to that destination and pumps bytes in both
 //! directions until either side closes. This is the overlay-node program

@@ -8,7 +8,7 @@
 //! * **Fig. 9** — RTT bins ([0,70), [70,140), [140,210), [210,280),
 //!   [280,∞) ms): median improvement grows with direct RTT; > 84% of
 //!   ≥ 140 ms paths improve.
-//! * **Fig. 10** — loss bins ([0], (0,0.25%), [0.25,0.5%), [0.5%,∞)):
+//! * **Fig. 10** — loss bins (\[0\], (0,0.25%), [0.25,0.5%), [0.5%,∞)):
 //!   improvement grows with loss; zero-loss paths are polarized.
 //! * **Fig. 11** — improvement vs direct throughput: low-throughput
 //!   direct paths almost always improve, high-throughput ones do not.

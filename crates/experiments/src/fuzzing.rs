@@ -7,7 +7,7 @@
 //!
 //! 1. picks a corpus entry (seeded with the empty schedule and the
 //!    generator's own output for the frame),
-//! 2. mutates it structurally ([`fuzz::mutate`]),
+//! 2. mutates it structurally ([`fuzz::mutate`](fn@fuzz::mutate)),
 //! 3. renders and runs it through [`chaos_with_schedule`] with metrics
 //!    collection on,
 //! 4. harvests the published `control.broker.*` / `control.fleet.*` /

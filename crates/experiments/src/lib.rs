@@ -19,7 +19,6 @@
 //! | [`failover`] | §VI-A: direct-path failure mid-transfer, MPTCP vs plain TCP |
 //! | [`service`] | §VI–§VII: CRONets as an online service (workload, broker, autoscaler, SLOs) — the one event loop, with an optional fault schedule |
 //! | [`chaos`] | §VI-A generalized: the service loop under a deterministic fault schedule (crashes, outages, flaps, poisoned probes) |
-//! | [`hybrid`] | transport-level hybrid-vs-DES goodput accuracy on the Fig. 12/13 scenario (`cronets accuracy`) |
 //! | [`multihop`] | §VII-B generalized: k-hop chains with online-bandit selection vs static/OLIA on the Fig. 12/13 flows, clean and under faults |
 //! | [`fuzzing`] | coverage-guided fault-schedule fuzzing of the chaos loop, with delta-debugged repros (`cronets fuzz`) |
 //! | [`soak`] | week-of-simulated-time chaos soak, checkpoint-resumable and byte-deterministic (`cronets soak`) |
@@ -43,7 +42,6 @@ pub mod extensions;
 pub mod factors;
 pub mod failover;
 pub mod fuzzing;
-pub mod hybrid;
 pub mod longitudinal;
 pub mod mptcp_exp;
 pub mod multihop;

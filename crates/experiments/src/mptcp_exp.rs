@@ -161,19 +161,18 @@ pub(crate) fn nine_scattered_servers(seed: u64) -> (World, Vec<RouterId>) {
 }
 
 /// One kept worst-direct pair with its routed paths (direct + up to 7
-/// overlay reflections) — the §VI validation's unit of work, shared
-/// with the hybrid-fidelity accuracy check.
-pub(crate) struct Prepared {
-    pub(crate) pair: (RouterId, RouterId),
-    pub(crate) direct: RouterPath,
-    pub(crate) overlays: Vec<RouterPath>,
+/// overlay reflections) — the §VI validation's unit of work.
+struct Prepared {
+    pair: (RouterId, RouterId),
+    direct: RouterPath,
+    overlays: Vec<RouterPath>,
     model_direct: f64,
-    pub(crate) max_split_model: f64,
+    max_split_model: f64,
 }
 
 /// Builds the §VI world and the `config.n_pairs` worst-direct prepared
 /// pairs (sorted worst-first, like the paper's path index).
-pub(crate) fn prepared_pairs(config: &MptcpExpConfig) -> (World, TcpParams, Vec<Prepared>) {
+fn prepared_pairs(config: &MptcpExpConfig) -> (World, TcpParams, Vec<Prepared>) {
     let (mut world, vms) = nine_scattered_servers(config.seed);
     let params = *world.cronet.params();
     let mut prepared = Vec::new();

@@ -45,7 +45,7 @@ use cronets::select::{achieved, PathChoice};
 use faults::{FaultKind, FaultSchedule, Invariants};
 use obs::SpanKind;
 use paths::{relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops};
-use routing::{NodeAddr, RouteCache, RouterPath};
+use routing::{NodeAddr, RouteCache};
 use simcore::rng::mix64;
 use simcore::{EventHandle, EventQueue, SimDuration, SimTime};
 use topology::{LinkId, RouterId};
@@ -544,7 +544,7 @@ impl RemoteCfg {
 }
 
 /// One entry of the cross-region byte-conservation ledger, recorded in
-/// deterministic processing order when [`RemoteCfg::ledger`] is on. The
+/// deterministic processing order when `RemoteCfg::ledger` is on. The
 /// shard-invariance tests replay it into `faults::Invariants` to prove
 /// a handed-off (and possibly bounced) flow accounts for every byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -592,28 +592,14 @@ fn epoch_truth(world: &World, cache: &RouteCache, pairs: &[(RouterId, RouterId)]
     let nodes = world.cronet.nodes();
     exec::parallel_map(pairs.len(), |pi| {
         let (server, client) = pairs[pi];
-        // Pairs are pre-filtered to routable at build time, but a
-        // post-fault route repair can sever the direct route later; a
-        // dead direct path is scored as zero throughput / total loss
-        // (overlays may still reach the client — the paper's story).
-        let (direct, direct_path) = match cache.route(net, server, client) {
-            Some(direct_path) => {
-                let q_direct = quality(net, &direct_path);
-                let direct = Measurement {
-                    throughput_bps: tcp_throughput(&q_direct, &params),
-                    rtt: q_direct.rtt,
-                    loss: q_direct.loss,
-                };
-                (direct, direct_path)
-            }
-            None => (
-                Measurement {
-                    throughput_bps: 0.0,
-                    rtt: SimDuration::ZERO,
-                    loss: 1.0,
-                },
-                RouterPath::trivial(server),
-            ),
+        let direct_path = cache.route(net, server, client).expect(
+            "pairs are filtered to routable at build time and the route memo never changes",
+        );
+        let q_direct = quality(net, &direct_path);
+        let direct = Measurement {
+            throughput_bps: tcp_throughput(&q_direct, &params),
+            rtt: q_direct.rtt,
+            loss: q_direct.loss,
         };
         let mut overlays = Vec::with_capacity(nodes.len());
         for (ni, node) in nodes.iter().enumerate() {

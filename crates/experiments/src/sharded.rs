@@ -7,7 +7,7 @@
 //! group scan per admission probe. This module splits the control plane
 //! in two:
 //!
-//! * a **shard-local decision layer** — one [`ServiceLoop`] per region,
+//! * a **shard-local decision layer** — one `ServiceLoop` per region,
 //!   owning its broker, grouped fleet, SLO ledger, probe cache, workload
 //!   substream and RNG stream, stepped one epoch per round on
 //!   [`exec::shard_rounds`] worker lanes;
@@ -138,7 +138,7 @@ fn region_seed(seed: u64, region: u32) -> u64 {
 ///
 /// Panics on an inconsistent configuration: zero shards or regions,
 /// more than 256 regions (the address space's region field is 8 bits),
-/// or any [`crate::service::ServiceLoop`] construction failure.
+/// or any `ServiceLoop` construction failure.
 #[must_use]
 pub fn service_sharded(cfg: &ShardedConfig, seed: u64, shards: usize) -> ServiceReport {
     service_sharded_with_ledgers(cfg, seed, shards, false).0

@@ -5,10 +5,10 @@
 //! * a **metrics registry** ([`metrics`]) — counters, gauges and
 //!   fixed-bucket histograms keyed by name, mutated through pre-resolved
 //!   integer handles so the hot path is an array index;
-//! * a **flow tracer** ([`trace`]) — a bounded ring buffer of per-flow
+//! * a **flow tracer** ([`trace`](mod@trace)) — a bounded ring buffer of per-flow
 //!   records (segment sent/acked, retransmit, RTO backoff, cwnd change,
 //!   subflow switch);
-//! * a **causal span tracer** ([`span`]) — parent/child event records
+//! * a **causal span tracer** ([`span`](mod@span)) — parent/child event records
 //!   with run-stable ids covering the flow lifecycle (arrival →
 //!   admission → completion/kill → retry) plus fault and autoscaler
 //!   events, the substrate for fault attribution;

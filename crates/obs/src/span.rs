@@ -1,6 +1,6 @@
 //! Causal span tracing: parent/child event records with stable IDs.
 //!
-//! Where [`crate::trace`] records what happened to one packet-level flow,
+//! Where [`crate::trace`](mod@crate::trace) records what happened to one packet-level flow,
 //! spans record **why** things happened across the whole run: every span
 //! carries the id of the span that caused it, so a completed (or killed)
 //! flow can be walked back through its admission decision to the arrival

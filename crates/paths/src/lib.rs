@@ -7,7 +7,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`enumerate`] | deterministic k-hop candidate enumeration with capacity- and price-aware pruning over the warmed `RouteCache` |
+//! | [`enumerate`](mod@enumerate) | deterministic k-hop candidate enumeration with capacity- and price-aware pruning over the warmed `RouteCache` |
 //! | [`bandit`] | deterministic UCB path selector over EWMA-smoothed goodput estimates with a fixed per-epoch probe budget |
 //!
 //! Determinism contract: enumeration order is a pure function of the

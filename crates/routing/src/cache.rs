@@ -24,10 +24,10 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use topology::{AsId, LinkId, Network, RouterId};
+use topology::{AsId, Network, RouterId};
 
 use crate::bgp::{compute_table, AsRoute};
-use crate::expand::expand_as_path_avoiding;
+use crate::expand::expand_as_path;
 use crate::path::RouterPath;
 
 /// Immutable, share-everything route cache (see module docs).
@@ -37,14 +37,6 @@ pub struct RouteCache {
     tables: Vec<Vec<Option<AsRoute>>>,
     /// Memoized expanded paths for the prefetched pairs.
     paths: HashMap<(RouterId, RouterId), Option<RouterPath>>,
-    /// Currently failed links every expansion must route around.
-    failed: Vec<LinkId>,
-    /// Which memoized pairs each failed link displaced off their default
-    /// path — the exact set [`RouteCache::restore`] must re-expand.
-    displaced: HashMap<LinkId, Vec<(RouterId, RouterId)>>,
-    /// Set once [`RouteCache::rebuild_avoiding`] discards displacement
-    /// tracking; restores then fall back to full rebuilds.
-    rebuilt: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -59,9 +51,6 @@ impl RouteCache {
         RouteCache {
             tables,
             paths: HashMap::new(),
-            failed: Vec::new(),
-            displaced: HashMap::new(),
-            rebuilt: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -105,7 +94,7 @@ impl RouteCache {
         dst: RouterId,
     ) -> Option<RouterPath> {
         let as_path = self.as_path(net, net.router(src).asn(), net.router(dst).asn())?;
-        expand_as_path_avoiding(net, &as_path, src, dst, &self.failed)
+        expand_as_path(net, &as_path, src, dst)
     }
 
     /// Expands and freezes the paths for `keys` (skipping pairs already
@@ -126,144 +115,6 @@ impl RouteCache {
         };
         self.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
         for (k, p) in todo.into_iter().zip(computed) {
-            self.paths.insert(k, p);
-        }
-    }
-
-    /// Incrementally repairs the memo after link failures.
-    ///
-    /// Links in `links` join the cache's avoid set, and **only** the
-    /// memoized pairs whose current path actually crosses one of the
-    /// newly failed links are re-expanded (against the warmed tables,
-    /// avoiding every currently failed link). Pairs whose shortest-path
-    /// expansion never touched the failure keep their frozen paths — for
-    /// a handful of failed links that is the overwhelming majority, which
-    /// is what makes post-fault recovery cheap. Each re-expanded pair is
-    /// recorded against the failed links it crossed so that
-    /// [`RouteCache::restore`] can undo exactly this work.
-    ///
-    /// For failures of inter-AS links this is provably identical to
-    /// re-expanding every pair ([`RouteCache::rebuild_avoiding`], and the
-    /// property tests pin it): an unaffected pair's hot-potato selection
-    /// already preferred its own egress link, so striking losing
-    /// candidates cannot change the minimum, and intra-AS IGP paths do
-    /// not see inter-AS links at all.
-    ///
-    /// Returns the number of pairs re-expanded, and adds it to the
-    /// `routing.route_cache.repaired` counter (no-op while collection is
-    /// disabled).
-    pub fn repair(&mut self, net: &Network, links: &[LinkId]) -> usize {
-        let mut newly: Vec<LinkId> = Vec::new();
-        for &l in links {
-            if !self.failed.contains(&l) && !newly.contains(&l) {
-                newly.push(l);
-            }
-        }
-        self.failed.extend(&newly);
-        if newly.is_empty() {
-            return 0;
-        }
-        let mut todo: Vec<(RouterId, RouterId)> = Vec::new();
-        for (&k, memo) in &self.paths {
-            let Some(path) = memo else { continue };
-            let crossed: Vec<LinkId> = newly
-                .iter()
-                .copied()
-                .filter(|l| path.links().contains(l))
-                .collect();
-            if !crossed.is_empty() {
-                todo.push(k);
-                for l in crossed {
-                    self.displaced.entry(l).or_default().push(k);
-                }
-            }
-        }
-        todo.sort_unstable();
-        for keys in self.displaced.values_mut() {
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        self.reexpand(net, &todo);
-        obs::add_named("routing.route_cache.repaired", todo.len() as u64);
-        todo.len()
-    }
-
-    /// Undoes [`RouteCache::repair`] for the given links: they leave the
-    /// avoid set and every pair they displaced is re-expanded (pairs
-    /// still displaced by *other* failed links stay re-routed — their
-    /// re-expansion avoids the remaining set). Unknown or never-failed
-    /// links are ignored. Returns the number of pairs re-expanded.
-    ///
-    /// If displacement tracking was discarded by
-    /// [`RouteCache::rebuild_avoiding`], falls back to re-expanding every
-    /// memoized pair.
-    pub fn restore(&mut self, net: &Network, links: &[LinkId]) -> usize {
-        let mut cleared = false;
-        for l in links {
-            if let Some(pos) = self.failed.iter().position(|f| f == l) {
-                self.failed.remove(pos);
-                cleared = true;
-            }
-        }
-        if !cleared {
-            return 0;
-        }
-        if !self.displacement_tracked() {
-            return self.rebuild_avoiding(net, &self.failed.clone());
-        }
-        let mut todo: Vec<(RouterId, RouterId)> = Vec::new();
-        for l in links {
-            if let Some(keys) = self.displaced.remove(l) {
-                todo.extend(keys);
-            }
-        }
-        todo.sort_unstable();
-        todo.dedup();
-        self.reexpand(net, &todo);
-        todo.len()
-    }
-
-    /// Replaces the avoid set wholesale and re-expands **every**
-    /// memoized pair against it — the reference implementation the
-    /// incremental [`RouteCache::repair`] is verified against, and the
-    /// recovery path when displacement bookkeeping is unavailable.
-    /// Discards displacement tracking (a subsequent
-    /// [`RouteCache::restore`] therefore also rebuilds in full). Returns
-    /// the number of pairs re-expanded.
-    pub fn rebuild_avoiding(&mut self, net: &Network, links: &[LinkId]) -> usize {
-        self.failed = links.to_vec();
-        self.displaced.clear();
-        self.rebuilt = true;
-        let mut keys: Vec<(RouterId, RouterId)> = self.paths.keys().copied().collect();
-        keys.sort_unstable();
-        self.reexpand(net, &keys);
-        keys.len()
-    }
-
-    /// The links the cache currently routes around.
-    #[must_use]
-    pub fn failed_links(&self) -> &[LinkId] {
-        &self.failed
-    }
-
-    fn displacement_tracked(&self) -> bool {
-        !self.rebuilt
-    }
-
-    /// Re-expands `keys` in parallel against the current avoid set and
-    /// overwrites their memo entries; each counts as one miss.
-    fn reexpand(&mut self, net: &Network, keys: &[(RouterId, RouterId)]) {
-        if keys.is_empty() {
-            return;
-        }
-        let computed = {
-            let this = &*self;
-            exec::parallel_map(keys.len(), |i| {
-                this.route_uncached(net, keys[i].0, keys[i].1)
-            })
-        };
-        self.misses.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        for (&k, p) in keys.iter().zip(computed) {
             self.paths.insert(k, p);
         }
     }
@@ -394,118 +245,6 @@ mod tests {
         assert_eq!(cache.misses(), 1, "duplicate keys counted once");
         cache.prefetch(&net, &[k, (hosts[1], hosts[2])]);
         assert_eq!(cache.misses(), 2, "known key not recomputed");
-    }
-
-    /// Fails the first inter-AS link on a memoized path and checks that
-    /// repair (a) reroutes exactly the crossing pairs around it, (b)
-    /// leaves non-crossing pairs untouched, and (c) restore brings every
-    /// pair back to its original path.
-    #[test]
-    fn repair_reroutes_only_crossing_pairs_and_restore_undoes_it() {
-        let (net, hosts) = net_with_hosts();
-        let mut cache = RouteCache::build(&net);
-        let keys: Vec<(RouterId, RouterId)> = hosts
-            .iter()
-            .flat_map(|&a| hosts.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        cache.prefetch(&net, &keys);
-        let before: Vec<_> = keys.iter().map(|&(a, b)| cache.route(&net, a, b)).collect();
-        // Pick an inter-AS link off the first routed path.
-        let victim = *before[0]
-            .as_ref()
-            .unwrap()
-            .links()
-            .iter()
-            .find(|&&l| net.router(net.link(l).a()).asn() != net.router(net.link(l).b()).asn())
-            .expect("cross-stub paths traverse inter-AS links");
-        let crossing: Vec<bool> = before
-            .iter()
-            .map(|p| p.as_ref().is_some_and(|p| p.links().contains(&victim)))
-            .collect();
-        assert!(crossing.iter().any(|&c| c), "victim must affect someone");
-
-        let repaired = cache.repair(&net, &[victim]);
-        assert_eq!(repaired, crossing.iter().filter(|&&c| c).count());
-        assert_eq!(cache.failed_links(), &[victim]);
-        for (i, &(a, b)) in keys.iter().enumerate() {
-            let now = cache.route(&net, a, b);
-            if crossing[i] {
-                if let Some(p) = &now {
-                    assert!(!p.links().contains(&victim), "{a}->{b} still crosses");
-                }
-            } else {
-                assert_eq!(now, before[i], "untouched pair must keep its path");
-            }
-        }
-
-        let restored = cache.restore(&net, &[victim]);
-        assert_eq!(restored, repaired);
-        assert!(cache.failed_links().is_empty());
-        for (i, &(a, b)) in keys.iter().enumerate() {
-            assert_eq!(cache.route(&net, a, b), before[i], "restore must undo");
-        }
-    }
-
-    /// The incremental repair must agree pair-for-pair with the
-    /// reference full re-expansion under the same avoid set.
-    #[test]
-    fn repair_matches_full_rebuild() {
-        let (net, hosts) = net_with_hosts();
-        let keys: Vec<(RouterId, RouterId)> = hosts
-            .iter()
-            .flat_map(|&a| hosts.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let mut incremental = RouteCache::build(&net);
-        incremental.prefetch(&net, &keys);
-        let mut reference = RouteCache::build(&net);
-        reference.prefetch(&net, &keys);
-        // Fail the inter-AS links of the first two routed paths, one
-        // repair call at a time (the reference rebuilds everything).
-        let mut victims: Vec<_> = Vec::new();
-        for k in &keys[..2] {
-            if let Some(p) = incremental.route(&net, k.0, k.1) {
-                victims.extend(
-                    p.links()
-                        .iter()
-                        .copied()
-                        .filter(|&l| {
-                            net.router(net.link(l).a()).asn() != net.router(net.link(l).b()).asn()
-                        })
-                        .take(2),
-                );
-            }
-        }
-        victims.dedup();
-        for (i, &v) in victims.iter().enumerate() {
-            incremental.repair(&net, &[v]);
-            reference.rebuild_avoiding(&net, &victims[..=i]);
-            for &(a, b) in &keys {
-                assert_eq!(
-                    incremental.route(&net, a, b),
-                    reference.route(&net, a, b),
-                    "divergence after failing {:?}",
-                    &victims[..=i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn repair_is_idempotent_and_restore_ignores_unknown_links() {
-        let (net, hosts) = net_with_hosts();
-        let mut cache = RouteCache::build(&net);
-        cache.prefetch(&net, &[(hosts[0], hosts[1])]);
-        let victim = cache.route(&net, hosts[0], hosts[1]).unwrap().links()[0];
-        let first = cache.repair(&net, &[victim]);
-        assert_eq!(cache.repair(&net, &[victim]), 0, "already failed");
-        assert_eq!(cache.failed_links().len(), 1);
-        let other = cache
-            .route(&net, hosts[0], hosts[1])
-            .map_or_else(|| topology::LinkId::from_raw(u32::MAX), |p| p.links()[0]);
-        assert_eq!(cache.restore(&net, &[other]), 0, "never failed");
-        assert_eq!(cache.restore(&net, &[victim]), first);
     }
 
     #[test]

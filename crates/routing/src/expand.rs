@@ -70,19 +70,9 @@ impl Scratch {
     }
 
     /// Dijkstra over the intra-AS subgraph of `from`'s AS, weighted by
-    /// link propagation delay, skipping every link in the `avoid` set.
-    /// Stops early once `to` is settled (pass `None` to compute
-    /// distances to every reachable router of the AS). The empty avoid
-    /// set costs one branch per edge, so ordinary expansion is
-    /// unchanged; a non-empty set is expected to be a handful of failed
-    /// links, so a linear scan beats building a hash set.
-    fn dijkstra_avoiding(
-        &mut self,
-        net: &Network,
-        from: RouterId,
-        to: Option<RouterId>,
-        avoid: &[LinkId],
-    ) {
+    /// link propagation delay. Stops early once `to` is settled (pass
+    /// `None` to compute distances to every reachable router of the AS).
+    fn dijkstra(&mut self, net: &Network, from: RouterId, to: Option<RouterId>) {
         let n = net.router_count();
         if self.stamps.len() < n {
             self.stamps.resize(n, 0);
@@ -103,9 +93,6 @@ impl Scratch {
             }
             for &(v, l) in net.neighbors(u) {
                 if net.router(v).asn() != asn {
-                    continue;
-                }
-                if !avoid.is_empty() && avoid.contains(&l) {
                     continue;
                 }
                 let nd = d + net.link(l).prop_delay().as_nanos().max(1);
@@ -131,23 +118,6 @@ thread_local! {
 /// Panics if the routers belong to different ASes.
 #[must_use]
 pub fn intra_as_path(net: &Network, from: RouterId, to: RouterId) -> Option<RouterPath> {
-    intra_as_path_avoiding(net, from, to, &[])
-}
-
-/// [`intra_as_path`] with a failed-link avoid set: the shortest intra-AS
-/// route that uses none of the `avoid` links, or `None` if avoidance
-/// disconnects the pair. The empty set is exactly [`intra_as_path`].
-///
-/// # Panics
-///
-/// Panics if the routers belong to different ASes.
-#[must_use]
-pub fn intra_as_path_avoiding(
-    net: &Network,
-    from: RouterId,
-    to: RouterId,
-    avoid: &[LinkId],
-) -> Option<RouterPath> {
     let asn = net.router(from).asn();
     assert_eq!(
         asn,
@@ -159,7 +129,7 @@ pub fn intra_as_path_avoiding(
     }
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
-        s.dijkstra_avoiding(net, from, Some(to), avoid);
+        s.dijkstra(net, from, Some(to));
         if s.dist(to) == u64::MAX {
             return None;
         }
@@ -216,22 +186,6 @@ pub fn expand_as_path(
     src: RouterId,
     dst: RouterId,
 ) -> Option<RouterPath> {
-    expand_as_path_avoiding(net, as_path, src, dst, &[])
-}
-
-/// [`expand_as_path`] with a failed-link avoid set: avoided inter-AS
-/// links are struck from the hot-potato candidate list and avoided
-/// intra-AS links from the IGP shortest paths. Returns `None` if
-/// avoidance leaves some AS pair without a usable link or disconnects an
-/// AS internally. The empty set is exactly [`expand_as_path`].
-#[must_use]
-pub fn expand_as_path_avoiding(
-    net: &Network,
-    as_path: &[AsId],
-    src: RouterId,
-    dst: RouterId,
-    avoid: &[LinkId],
-) -> Option<RouterPath> {
     let mut path = RouterPath::trivial(src);
     let mut ingress = src;
     for (i, window) in as_path.windows(2).enumerate() {
@@ -245,12 +199,9 @@ pub fn expand_as_path_avoiding(
         }
         let best = SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            s.dijkstra_avoiding(net, ingress, None, avoid);
+            s.dijkstra(net, ingress, None);
             let mut best: Option<(u64, LinkId, RouterId, RouterId)> = None;
             for &l in candidates {
-                if !avoid.is_empty() && avoid.contains(&l) {
-                    continue;
-                }
                 let link = net.link(l);
                 let (near, far) = if net.router(link.a()).asn() == cur_as {
                     (link.a(), link.b())
@@ -269,14 +220,14 @@ pub fn expand_as_path_avoiding(
             best
         });
         let (_, l, near, far) = best?;
-        let to_border = intra_as_path_avoiding(net, ingress, near, avoid)?;
+        let to_border = intra_as_path(net, ingress, near)?;
         path = path.join(to_border);
         path = path.join(RouterPath::new(vec![near, far], vec![l]));
         ingress = far;
         let _ = i;
     }
     // Final leg inside the destination AS.
-    let tail = intra_as_path_avoiding(net, ingress, dst, avoid)?;
+    let tail = intra_as_path(net, ingress, dst)?;
     Some(path.join(tail))
 }
 
@@ -301,6 +252,55 @@ mod tests {
             .map(|(i, &s)| net.attach_host(&format!("h{i}"), s, 100_000_000))
             .collect();
         (net, hosts)
+    }
+
+    /// FNV-1a over every route between 16 hosts on the paper-scale
+    /// Internet at seed 7: router ids, link ids, and a marker for an
+    /// unroutable pair. The `RouteCache` tests compare the cache with
+    /// lazy `Bgp`, but both sides go through this module's expansion, so
+    /// only a fixed digest catches a change to hot-potato egress or the
+    /// IGP shortest paths.
+    #[test]
+    fn paper_scale_expansion_matches_golden_digest() {
+        let mut net = generate(&InternetConfig::paper_scale(), 7);
+        let stubs: Vec<AsId> = net
+            .ases()
+            .filter(|a| a.tier() == AsTier::Stub)
+            .map(|a| a.id())
+            .collect();
+        let hosts: Vec<RouterId> = (0..16)
+            .map(|i| {
+                net.attach_host(
+                    &format!("h{i}"),
+                    stubs[(i * 3 + 5) % stubs.len()],
+                    100_000_000,
+                )
+            })
+            .collect();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |word: u32| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut bgp = Bgp::new();
+        for &a in &hosts {
+            for &b in &hosts {
+                match route(&net, &mut bgp, a, b) {
+                    Some(p) => {
+                        feed(p.routers().len() as u32);
+                        p.routers().iter().for_each(|r| feed(r.raw()));
+                        p.links().iter().for_each(|l| feed(l.raw()));
+                    }
+                    None => feed(u32::MAX),
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0x785b_9afa_20c7_f07a,
+            "router-level expansion changed: {hash:#018x}"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   deterministic hit/miss counters.
 //! * [`path`] — the resulting [`RouterPath`] with the aggregate metrics
 //!   the transport models consume (RTT, loss, bottleneck capacity).
-//! * [`traceroute`] — per-hop output like the tool the paper ran from its
+//! * [`traceroute`](mod@traceroute) — per-hop output like the tool the paper ran from its
 //!   controlled senders.
 //!
 //! # Example
@@ -56,8 +56,6 @@ pub mod traceroute;
 pub use addr::{GeoPrefix, GeoTable, NodeAddr};
 pub use bgp::{AsRoute, Bgp, RouteClass};
 pub use cache::RouteCache;
-pub use expand::{
-    expand_as_path, expand_as_path_avoiding, intra_as_path, intra_as_path_avoiding, route,
-};
+pub use expand::{expand_as_path, intra_as_path, route};
 pub use path::RouterPath;
 pub use traceroute::{traceroute, Hop};

@@ -35,11 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod des;
-pub mod hybrid;
 pub mod model;
 
 pub use des::{
     CongestionAlg, CouplingAlg, DesPath, FlowStats, MptcpConfig, Netsim, TransferConfig,
 };
-pub use hybrid::{Fidelity, HybridConfig, HybridReport, HybridSim};
 pub use model::{tcp_throughput, PathQuality, TcpParams};

@@ -136,47 +136,6 @@ pub fn tcp_throughput(q: &PathQuality, params: &TcpParams) -> f64 {
     loss_limit.min(window_limit).min(capacity_limit)
 }
 
-/// Bytes a TCP transfer of `duration` delivers at steady-state rate
-/// `bps`, including the slow-start ramp: the sender opens with ten
-/// segments per RTT (RFC 6928 IW10) and doubles each round trip until
-/// the per-RTT volume reaches the steady rate, then sends linearly.
-/// The result is rounded down to whole MSS segments and never exceeds
-/// `duration × bps / 8` (the no-ramp upper bound).
-///
-/// This is the byte-accounting companion to [`tcp_throughput`]: the
-/// analytic half of the hybrid simulator uses it to synthesise
-/// [`FlowStats::bytes_delivered`](crate::des::FlowStats) for flows it
-/// never hands to the packet engine, so short transfers are not credited
-/// with full steady-state goodput from their first microsecond.
-#[must_use]
-pub fn ramped_transfer_bytes(
-    bps: f64,
-    rtt: SimDuration,
-    params: &TcpParams,
-    duration: SimDuration,
-) -> u64 {
-    if bps <= 0.0 || duration == SimDuration::ZERO {
-        return 0;
-    }
-    let rtt_s = rtt.as_secs_f64().max(1e-6);
-    let dur_s = duration.as_secs_f64();
-    let steady_per_rtt = bps * rtt_s / 8.0;
-    let mut sent = 0.0f64;
-    let mut t = 0.0f64;
-    let mut per_rtt = 10.0 * f64::from(params.mss);
-    while t < dur_s && per_rtt < steady_per_rtt {
-        sent += per_rtt;
-        t += rtt_s;
-        per_rtt *= 2.0;
-    }
-    if t < dur_s {
-        sent += (dur_s - t) * bps / 8.0;
-    }
-    let bytes = sent.min(dur_s * bps / 8.0).max(0.0);
-    let mss = f64::from(params.mss);
-    ((bytes / mss).floor() * mss) as u64
-}
-
 /// Throughput of a split-TCP relay over two segments: each segment runs
 /// its own TCP loop, so the end-to-end rate is the slower segment, less a
 /// small relay-processing haircut. §III-B of the paper verifies this is
@@ -411,41 +370,6 @@ mod tests {
                 assert!(split + 1.0 >= plain, "split {split} < plain {plain}");
             }
         }
-    }
-
-    #[test]
-    fn ramp_never_exceeds_linear_bound_and_converges_for_long_flows() {
-        let p = TcpParams::default();
-        let rtt = SimDuration::from_millis(40);
-        let bps = 50_000_000.0;
-        for secs in [1u64, 5, 30] {
-            let d = SimDuration::from_secs(secs);
-            let b = ramped_transfer_bytes(bps, rtt, &p, d);
-            let linear = d.as_secs_f64() * bps / 8.0;
-            assert!(
-                b as f64 <= linear,
-                "{secs}s: ramp {b} above linear {linear}"
-            );
-            assert_eq!(b % u64::from(p.mss), 0, "whole segments only");
-        }
-        // A long transfer amortises the ramp: within 2% of linear.
-        let long = ramped_transfer_bytes(bps, rtt, &p, SimDuration::from_secs(30));
-        let linear = 30.0 * bps / 8.0;
-        assert!(long as f64 / linear > 0.98, "ramp cost must wash out");
-        // A transfer shorter than one RTT is IW-limited.
-        let tiny = ramped_transfer_bytes(bps, rtt, &p, SimDuration::from_millis(10));
-        assert!(tiny <= 10 * u64::from(p.mss));
-    }
-
-    #[test]
-    fn ramp_degenerate_inputs_yield_zero() {
-        let p = TcpParams::default();
-        let rtt = SimDuration::from_millis(40);
-        assert_eq!(
-            ramped_transfer_bytes(0.0, rtt, &p, SimDuration::from_secs(1)),
-            0
-        );
-        assert_eq!(ramped_transfer_bytes(1e6, rtt, &p, SimDuration::ZERO), 0);
     }
 
     #[test]

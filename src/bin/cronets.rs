@@ -88,10 +88,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "SVI-A generalized: the service under a deterministic fault schedule",
     ),
     (
-        "accuracy",
-        "hybrid-vs-DES goodput error on the Fig. 12/13 scenario (slow)",
-    ),
-    (
         "export",
         "write all analytic figure data as TSV into ./results/",
     ),
@@ -110,8 +106,8 @@ fn usage() {
     );
     eprintln!("  --threads N   worker threads (default: available parallelism);");
     eprintln!("                output is byte-identical at any thread count");
-    eprintln!("  --smoke       CI-sized run (service, chaos, multihop, accuracy,");
-    eprintln!("                fuzz and soak)");
+    eprintln!("  --smoke       CI-sized run (service, chaos, multihop, fuzz and");
+    eprintln!("                soak)");
     eprintln!("  --planet      (service/chaos) planetary scale: the per-region");
     eprintln!("                control plane replicated over the region fabric");
     eprintln!("                (64 regions full, 8 with --smoke)");
@@ -283,26 +279,6 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                     ),
                     Err(e) => eprintln!("span write failed: {e}"),
                 }
-            }
-        }
-        "accuracy" => {
-            let cfg = if opts.smoke {
-                exp::mptcp_exp::MptcpExpConfig::quick(seed)
-            } else {
-                exp::mptcp_exp::MptcpExpConfig {
-                    n_pairs: 6,
-                    duration: simcore::SimDuration::from_secs(20),
-                    seed,
-                }
-            };
-            let acc = exp::hybrid::accuracy(&cfg);
-            print!("{acc}");
-            let path = std::path::Path::new(RESULTS_DIR).join("hybrid_accuracy.tsv");
-            match std::fs::create_dir_all(RESULTS_DIR)
-                .and_then(|()| std::fs::write(&path, acc.to_tsv()))
-            {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("accuracy TSV write failed: {e}"),
             }
         }
         "export" => {

@@ -159,10 +159,12 @@ fn run_cli(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn cli_rejects_unknown_experiments_with_usage() {
-    let (ok, err) = run_cli(&["figure99"]);
-    assert!(!ok, "unknown experiment must exit non-zero");
-    assert!(err.contains("unknown experiment"), "stderr: {err}");
-    assert!(err.contains("usage:"), "stderr: {err}");
+    for name in ["figure99", "accuracy"] {
+        let (ok, err) = run_cli(&[name]);
+        assert!(!ok, "unknown experiment {name} must exit non-zero");
+        assert!(err.contains("unknown experiment"), "stderr: {err}");
+        assert!(err.contains("usage:"), "stderr: {err}");
+    }
 }
 
 #[test]
