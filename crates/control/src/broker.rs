@@ -5,7 +5,7 @@
 //! every client pair at every instant: path measurements arrive on a
 //! probing schedule and decisions in between run against cached — and
 //! possibly stale — state. [`Broker`] captures exactly that: probes are
-//! [`cronets::eval::PairEval`]s stamped with their measurement time, a
+//! [`cronets::eval::PairProbe`]s stamped with their measurement time, a
 //! decision consults the freshest probe for the pair, and when the probe
 //! has aged past [`BrokerConfig::max_probe_age`] the broker falls back to
 //! the direct path rather than steering onto an overlay it can no longer
@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cronets::eval::PairEval;
+use cronets::eval::PairProbe;
 use cronets::select::{achieved, best_choice_filtered, PathChoice};
 use paths::{ArmEval, BanditConfig, Candidate, Hops, PathBandit};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -73,7 +73,7 @@ pub struct BrokerConfig {
 #[derive(Debug, Clone)]
 struct Probe {
     at: SimTime,
-    eval: PairEval,
+    eval: PairProbe,
 }
 
 /// Per-decision counters, kept locally so the broker is testable without
@@ -184,7 +184,7 @@ impl Broker {
 
     /// Installs (or refreshes) the probe for `(src, dst)`, measured at
     /// `at`.
-    pub fn observe(&mut self, src: RouterId, dst: RouterId, at: SimTime, eval: PairEval) {
+    pub fn observe(&mut self, src: RouterId, dst: RouterId, at: SimTime, eval: PairProbe) {
         self.probes.insert((src, dst), Probe { at, eval });
     }
 
@@ -414,8 +414,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cronets::eval::{Measurement, OverlayEval};
-    use routing::RouterPath;
+    use cronets::eval::{Measurement, OverlayProbe};
 
     fn meas(bps: f64) -> Measurement {
         Measurement {
@@ -425,20 +424,15 @@ mod tests {
         }
     }
 
-    fn eval(direct: f64, overlays: &[f64]) -> PairEval {
-        let path = RouterPath::trivial(RouterId::from_raw(0));
-        PairEval {
+    fn eval(direct: f64, overlays: &[f64]) -> PairProbe {
+        PairProbe {
             direct: meas(direct),
-            direct_path: path.clone(),
             overlays: overlays
                 .iter()
                 .enumerate()
-                .map(|(i, &bps)| OverlayEval {
+                .map(|(i, &bps)| OverlayProbe {
                     node: i,
-                    plain: meas(0.8 * bps),
                     split: meas(bps),
-                    discrete_bps: bps,
-                    path: path.clone(),
                 })
                 .collect(),
         }

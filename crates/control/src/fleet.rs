@@ -90,11 +90,27 @@ impl FleetStats {
 }
 
 /// Relay-fleet autoscaler (see module docs).
+///
+/// Every write to a slot's state or flow count goes through
+/// `set_state`/`set_flows`, which keep a per-slot free bit and the
+/// state and flow counters in step: the broker's per-probe capacity
+/// filter, slot claims and the rent meter all read in O(1) instead of
+/// scanning the fleet.
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
     state: Vec<RelayState>,
     flows: Vec<u32>,
+    /// One bit per slot, set while [`Fleet::is_free`] holds: the
+    /// per-group occupancy map behind [`Fleet::group_free`] and
+    /// [`Fleet::start_in_group`].
+    free: Vec<u64>,
+    /// Slots active, draining and failed (released is the rest).
+    active: usize,
+    draining: usize,
+    failed: usize,
+    /// Flows in progress on active slots.
+    active_flows: u64,
     /// Contiguous slots per relay group (one group per overlay node);
     /// 1 for the classic one-slot-per-node fleet.
     per_group: usize,
@@ -140,18 +156,91 @@ impl Fleet {
             cfg.relays.is_multiple_of(groups),
             "relay slots must divide evenly into groups"
         );
-        let mut state = vec![RelayState::Released; cfg.relays];
-        for s in state.iter_mut().take(cfg.min_active) {
-            *s = RelayState::Active;
-        }
-        Fleet {
+        let mut fleet = Fleet {
             hourly_usd: overlay_node_hourly_usd(cfg.port, cfg.plan),
-            state,
+            state: vec![RelayState::Released; cfg.relays],
             flows: vec![0; cfg.relays],
+            free: vec![0; cfg.relays.div_ceil(64)],
+            active: 0,
+            draining: 0,
+            failed: 0,
+            active_flows: 0,
             per_group: cfg.relays / groups,
             spend_usd: 0.0,
             stats: FleetStats::default(),
             cfg,
+        };
+        for i in 0..fleet.cfg.min_active {
+            fleet.set_state(i, RelayState::Active);
+        }
+        fleet
+    }
+
+    /// Moves slot `i` to state `to`, keeping the state counters, the
+    /// active-flow sum and the slot's free bit in step.
+    fn set_state(&mut self, i: usize, to: RelayState) {
+        let from = std::mem::replace(&mut self.state[i], to);
+        let flows = u64::from(self.flows[i]);
+        match from {
+            RelayState::Released => {}
+            RelayState::Active => {
+                self.active -= 1;
+                self.active_flows -= flows;
+            }
+            RelayState::Draining => self.draining -= 1,
+            RelayState::Failed => self.failed -= 1,
+        }
+        match to {
+            RelayState::Released => {}
+            RelayState::Active => {
+                self.active += 1;
+                self.active_flows += flows;
+            }
+            RelayState::Draining => self.draining += 1,
+            RelayState::Failed => self.failed += 1,
+        }
+        self.sync_free(i);
+    }
+
+    /// Sets slot `i`'s flow count to `n`, keeping the active-flow sum
+    /// and the slot's free bit in step.
+    fn set_flows(&mut self, i: usize, n: u32) {
+        if self.state[i] == RelayState::Active {
+            self.active_flows = self.active_flows - u64::from(self.flows[i]) + u64::from(n);
+        }
+        self.flows[i] = n;
+        self.sync_free(i);
+    }
+
+    fn sync_free(&mut self, i: usize) {
+        let bit = 1u64 << (i % 64);
+        if self.is_free(i) {
+            self.free[i / 64] |= bit;
+        } else {
+            self.free[i / 64] &= !bit;
+        }
+    }
+
+    /// The lowest free slot of group `g`, read off the free bits a word
+    /// at a time with both ends of the group's range masked: the slot a
+    /// scan of the group in index order would find first.
+    fn first_free(&self, g: usize) -> Option<usize> {
+        let lo = g * self.per_group;
+        let hi = lo + self.per_group - 1;
+        let (mut w, last) = (lo / 64, hi / 64);
+        let mut bits = self.free[w] & (u64::MAX << (lo % 64));
+        loop {
+            if w == last {
+                bits &= u64::MAX >> (63 - hi % 64);
+            }
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            if w == last {
+                return None;
+            }
+            w += 1;
+            bits = self.free[w];
         }
     }
 
@@ -166,8 +255,7 @@ impl Fleet {
     /// exactly [`Fleet::is_free`].
     #[must_use]
     pub fn group_free(&self, g: usize) -> bool {
-        let base = g * self.per_group;
-        (base..base + self.per_group).any(|i| self.is_free(i))
+        self.first_free(g).is_some()
     }
 
     /// Starts a flow on the first free slot of group `g` and returns
@@ -179,11 +267,10 @@ impl Fleet {
     /// Panics if no slot in the group is free — the broker must only
     /// steer onto groups its capacity filter accepted.
     pub fn start_in_group(&mut self, g: usize) -> usize {
-        let base = g * self.per_group;
-        let slot = (base..base + self.per_group)
-            .find(|&i| self.is_free(i))
+        let slot = self
+            .first_free(g)
             .unwrap_or_else(|| panic!("flow steered onto unavailable relay group {g}"));
-        self.flows[slot] += 1;
+        self.set_flows(slot, self.flows[slot] + 1);
         slot
     }
 
@@ -215,7 +302,7 @@ impl Fleet {
     /// onto relays its capacity filter accepted.
     pub fn flow_started(&mut self, i: usize) {
         assert!(self.is_free(i), "flow steered onto unavailable relay {i}");
-        self.flows[i] += 1;
+        self.set_flows(i, self.flows[i] + 1);
     }
 
     /// Registers a flow finishing on relay `i`. A draining relay whose
@@ -226,9 +313,9 @@ impl Fleet {
     /// Panics if relay `i` has no flows in progress.
     pub fn flow_finished(&mut self, i: usize) {
         assert!(self.flows[i] > 0, "flow finished on idle relay {i}");
-        self.flows[i] -= 1;
+        self.set_flows(i, self.flows[i] - 1);
         if self.state[i] == RelayState::Draining && self.flows[i] == 0 {
-            self.state[i] = RelayState::Released;
+            self.set_state(i, RelayState::Released);
             self.stats.releases += 1;
         }
     }
@@ -250,8 +337,8 @@ impl Fleet {
             "crash on already-failed relay {i}"
         );
         let killed = self.flows[i];
-        self.flows[i] = 0;
-        self.state[i] = RelayState::Failed;
+        self.set_flows(i, 0);
+        self.set_state(i, RelayState::Failed);
         self.stats.crashes += 1;
         killed
     }
@@ -269,41 +356,32 @@ impl Fleet {
             self.state[i] == RelayState::Failed,
             "restore on non-failed relay {i}"
         );
-        self.state[i] = RelayState::Released;
+        self.set_state(i, RelayState::Released);
         self.stats.restores += 1;
     }
 
     /// Number of relays currently failed.
     #[must_use]
     pub fn failed(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == RelayState::Failed)
-            .count()
+        self.failed
     }
 
     /// Number of relays accepting flows.
     #[must_use]
     pub fn active(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == RelayState::Active)
-            .count()
+        self.active
     }
 
     /// Number of relays draining out.
     #[must_use]
     pub fn draining(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == RelayState::Draining)
-            .count()
+        self.draining
     }
 
     /// Number of relays currently billed (active + draining).
     #[must_use]
     pub fn in_service(&self) -> usize {
-        self.active() + self.draining()
+        self.active + self.draining
     }
 
     /// Flows in progress on active relays, as a fraction of active
@@ -311,23 +389,11 @@ impl Fleet {
     /// under load reads as saturated and triggers a scale-up).
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let active_cap: u64 = self
-            .state
-            .iter()
-            .filter(|s| **s == RelayState::Active)
-            .count() as u64
-            * u64::from(self.cfg.capacity_per_relay);
+        let active_cap = self.active as u64 * u64::from(self.cfg.capacity_per_relay);
         if active_cap == 0 {
             return 1.0;
         }
-        let used: u64 = self
-            .state
-            .iter()
-            .zip(&self.flows)
-            .filter(|(s, _)| **s == RelayState::Active)
-            .map(|(_, f)| u64::from(*f))
-            .sum();
-        used as f64 / active_cap as f64
+        self.active_flows as f64 / active_cap as f64
     }
 
     /// Accrues rent for every in-service relay over `dt`.
@@ -359,14 +425,14 @@ impl Fleet {
             // Cheapest capacity first: a draining relay is already paid
             // for, so reactivate before renting a released slot.
             if let Some(i) = self.state.iter().position(|s| *s == RelayState::Draining) {
-                self.state[i] = RelayState::Active;
+                self.set_state(i, RelayState::Active);
                 self.stats.scale_ups += 1;
             } else if let Some(i) = self.state.iter().position(|s| *s == RelayState::Released) {
                 let hours_left = remaining.as_secs_f64() / 3600.0;
                 let worst_case =
                     self.spend_usd + (self.in_service() + 1) as f64 * self.hourly_usd * hours_left;
                 if worst_case <= self.cfg.budget_usd {
-                    self.state[i] = RelayState::Active;
+                    self.set_state(i, RelayState::Active);
                     self.stats.scale_ups += 1;
                 }
             }
@@ -383,10 +449,10 @@ impl Fleet {
             if let Some(i) = victim {
                 self.stats.drains += 1;
                 if self.flows[i] == 0 {
-                    self.state[i] = RelayState::Released;
+                    self.set_state(i, RelayState::Released);
                     self.stats.releases += 1;
                 } else {
-                    self.state[i] = RelayState::Draining;
+                    self.set_state(i, RelayState::Draining);
                 }
             }
         }
@@ -643,5 +709,163 @@ mod tests {
         f.flow_started(0);
         f.flow_started(0);
         f.flow_started(0);
+    }
+
+    // Reference scans: the fleet's queries recomputed slot by slot from
+    // `relay_state`/`flows_on`, as the fleet answered them before it
+    // kept free bits and counters.
+
+    fn ref_is_free(f: &Fleet, i: usize) -> bool {
+        f.relay_state(i) == RelayState::Active && f.flows_on(i) < f.cfg.capacity_per_relay
+    }
+
+    fn ref_first_free(f: &Fleet, g: usize) -> Option<usize> {
+        let base = g * f.per_group;
+        (base..base + f.per_group).find(|&i| ref_is_free(f, i))
+    }
+
+    fn ref_count(f: &Fleet, s: RelayState) -> usize {
+        (0..f.cfg.relays).filter(|&i| f.relay_state(i) == s).count()
+    }
+
+    fn ref_utilization(f: &Fleet) -> f64 {
+        let active_cap =
+            ref_count(f, RelayState::Active) as u64 * u64::from(f.cfg.capacity_per_relay);
+        if active_cap == 0 {
+            return 1.0;
+        }
+        let used: u64 = (0..f.cfg.relays)
+            .filter(|&i| f.relay_state(i) == RelayState::Active)
+            .map(|i| u64::from(f.flows_on(i)))
+            .sum();
+        used as f64 / active_cap as f64
+    }
+
+    fn check_against_scans(f: &Fleet, spend: f64, step: usize) {
+        for g in 0..f.groups() {
+            let want = ref_first_free(f, g);
+            assert_eq!(
+                f.first_free(g),
+                want,
+                "step {step}: first free of group {g}"
+            );
+            assert_eq!(f.group_free(g), want.is_some(), "step {step}: group {g}");
+        }
+        assert_eq!(f.active(), ref_count(f, RelayState::Active), "step {step}");
+        assert_eq!(
+            f.draining(),
+            ref_count(f, RelayState::Draining),
+            "step {step}"
+        );
+        assert_eq!(f.failed(), ref_count(f, RelayState::Failed), "step {step}");
+        assert_eq!(
+            f.utilization().to_bits(),
+            ref_utilization(f).to_bits(),
+            "step {step}: utilization"
+        );
+        assert_eq!(
+            f.spend_usd().to_bits(),
+            spend.to_bits(),
+            "step {step}: spend"
+        );
+    }
+
+    /// Drives grouped fleets through seeded random operations and checks
+    /// every O(1) answer against the slot-by-slot scans after each one.
+    /// Load and unload phases alternate so utilization crosses both
+    /// autoscaling thresholds. (300, 3) puts group edges inside 64-slot
+    /// words; (1600, 5) is a planetary region's shape, with one-flow
+    /// slots so the claims leave holes deep inside its groups.
+    #[test]
+    fn free_bits_and_counters_match_the_slot_scans() {
+        let mut totals = FleetStats::default();
+        let mut draining_steps = 0;
+        for (relays, groups, min_active, capacity_per_relay) in [
+            (5, 5, 1, 4),
+            (40, 5, 4, 4),
+            (300, 3, 30, 4),
+            (1600, 5, 100, 1),
+            (1600, 5, 1000, 1),
+        ] {
+            for seed in [3, 17] {
+                let mut f = Fleet::grouped(
+                    FleetConfig {
+                        relays,
+                        capacity_per_relay,
+                        min_active,
+                        budget_usd: 1e6,
+                        scale_down_util: 0.6,
+                        ..cfg()
+                    },
+                    groups,
+                );
+                let mut rng = simcore::SimRng::seed_from(seed);
+                // The rent meter's reference: in-service slots counted
+                // by scan, billed with the fleet's own formula.
+                let mut spend = 0.0;
+                check_against_scans(&f, spend, 0);
+                for step in 1..=3000 {
+                    let pick = |rng: &mut simcore::SimRng, ok: &dyn Fn(usize) -> bool| {
+                        let cands: Vec<usize> = (0..relays).filter(|&i| ok(i)).collect();
+                        (!cands.is_empty()).then(|| cands[rng.index(cands.len())])
+                    };
+                    // Ops 0..=7 follow the phase (start flows while
+                    // loading, finish them while unloading); 8..=9 go
+                    // against it.
+                    let load = (step / 500) % 2 == 0;
+                    let op = rng.index(20);
+                    let start = if op < 8 { load } else { !load };
+                    match op {
+                        0..=9 if start && rng.index(2) == 0 => {
+                            let open: Vec<usize> = (0..groups)
+                                .filter(|&g| ref_first_free(&f, g).is_some())
+                                .collect();
+                            if !open.is_empty() {
+                                let g = open[rng.index(open.len())];
+                                let want = ref_first_free(&f, g);
+                                assert_eq!(Some(f.start_in_group(g)), want, "step {step}");
+                            }
+                        }
+                        0..=9 if start => {
+                            if let Some(i) = pick(&mut rng, &|i| ref_is_free(&f, i)) {
+                                f.flow_started(i);
+                            }
+                        }
+                        0..=9 => {
+                            if let Some(i) = pick(&mut rng, &|i| f.flows_on(i) > 0) {
+                                f.flow_finished(i);
+                            }
+                        }
+                        10..=13 => f.rebalance(SimDuration::from_secs(rng.index(7200) as u64)),
+                        14 => {
+                            let live = |i| f.relay_state(i) != RelayState::Failed;
+                            if let Some(i) = pick(&mut rng, &live) {
+                                f.crash(i);
+                            }
+                        }
+                        15 => {
+                            let dead = |i| f.relay_state(i) == RelayState::Failed;
+                            if let Some(i) = pick(&mut rng, &dead) {
+                                f.restore(i);
+                            }
+                        }
+                        _ => {
+                            let dt = SimDuration::from_secs(1 + rng.index(900) as u64);
+                            let billed = ref_count(&f, RelayState::Active)
+                                + ref_count(&f, RelayState::Draining);
+                            spend += billed as f64 * f.hourly_usd() * (dt.as_secs_f64() / 3600.0);
+                            f.accrue(dt);
+                        }
+                    }
+                    check_against_scans(&f, spend, step);
+                    draining_steps += usize::from(f.draining() > 0);
+                }
+                totals.absorb(&f.stats());
+            }
+        }
+        // The walk must reach every transition it claims to check.
+        assert!(totals.scale_ups > 0 && totals.drains > 0 && totals.releases > 0);
+        assert!(totals.crashes > 0 && totals.restores > 0);
+        assert!(draining_steps > 0, "no slot ever drained with flows on it");
     }
 }

@@ -42,6 +42,30 @@ pub struct OverlayEval {
     pub path: RouterPath,
 }
 
+/// One overlay node's split-mode measurement: the part of an
+/// [`OverlayEval`] a path selector reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverlayProbe {
+    /// Index of the overlay node in [`crate::Cronet::nodes`].
+    pub node: usize,
+    /// Split-TCP overlay measurement.
+    pub split: Measurement,
+}
+
+/// A pair's evaluation as a path selector reads it: the direct
+/// measurement and each overlay node's split measurement, without the
+/// router paths and the other overlay modes of [`PairEval`]. The
+/// selection rule of [`crate::select`] runs on this type; the online
+/// service measures its per-epoch truth in this form and caches it as
+/// its broker's probes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairProbe {
+    /// The default Internet path measurement.
+    pub direct: Measurement,
+    /// One entry per evaluated overlay node, in node order.
+    pub overlays: Vec<OverlayProbe>,
+}
+
 /// Evaluation of all modes for one endpoint pair.
 #[derive(Debug, Clone)]
 pub struct PairEval {
@@ -54,6 +78,22 @@ pub struct PairEval {
 }
 
 impl PairEval {
+    /// The path-free projection a selector reads (see [`PairProbe`]).
+    #[must_use]
+    pub fn probe(&self) -> PairProbe {
+        PairProbe {
+            direct: self.direct,
+            overlays: self
+                .overlays
+                .iter()
+                .map(|o| OverlayProbe {
+                    node: o.node,
+                    split: o.split,
+                })
+                .collect(),
+        }
+    }
+
     /// Best plain-overlay throughput across nodes.
     #[must_use]
     pub fn best_plain_bps(&self) -> f64 {

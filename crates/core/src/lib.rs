@@ -54,5 +54,5 @@ pub mod select;
 pub mod tunnel;
 
 pub use cronet::{Cronet, CronetBuilder, OverlayNode};
-pub use eval::{Measurement, OverlayEval, PairEval};
+pub use eval::{Measurement, OverlayEval, OverlayProbe, PairEval, PairProbe};
 pub use tunnel::TunnelKind;

@@ -8,7 +8,7 @@
 //! moves faster than the probe interval, it rides a stale choice. The
 //! MPTCP selector exists to beat exactly this behaviour.
 
-use crate::eval::PairEval;
+use crate::eval::{PairEval, PairProbe};
 
 /// The path a selector currently uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,19 +63,20 @@ impl ProbingSelector {
     /// selector's current choice achieves under `eval` (the *current*
     /// network state — a stale choice earns a stale rate).
     pub fn step(&mut self, eval: &PairEval) -> f64 {
+        let probe = eval.probe();
         if self.choice.is_none() || self.epochs_since_probe >= self.interval - 1 {
-            self.choice = Some(best_choice(eval));
+            self.choice = Some(best_choice(&probe));
             self.epochs_since_probe = 0;
         } else {
             self.epochs_since_probe += 1;
         }
-        achieved(eval, self.choice.expect("choice set above"))
+        achieved(&probe, self.choice.expect("choice set above"))
     }
 }
 
 /// The best current choice by split-overlay/direct throughput.
 #[must_use]
-pub fn best_choice(eval: &PairEval) -> PathChoice {
+pub fn best_choice(eval: &PairProbe) -> PathChoice {
     best_choice_filtered(eval, |_| true)
 }
 
@@ -84,7 +85,7 @@ pub fn best_choice(eval: &PairEval) -> PathChoice {
 /// online broker respects per-relay concurrent-flow capacity: a full
 /// relay simply drops out of the candidate set.
 #[must_use]
-pub fn best_choice_filtered(eval: &PairEval, allowed: impl Fn(usize) -> bool) -> PathChoice {
+pub fn best_choice_filtered(eval: &PairProbe, allowed: impl Fn(usize) -> bool) -> PathChoice {
     let mut best = (eval.direct.throughput_bps, PathChoice::Direct);
     for o in &eval.overlays {
         if o.split.throughput_bps > best.0 && allowed(o.node) {
@@ -96,7 +97,7 @@ pub fn best_choice_filtered(eval: &PairEval, allowed: impl Fn(usize) -> bool) ->
 
 /// Throughput of a specific choice under the current state.
 #[must_use]
-pub fn achieved(eval: &PairEval, choice: PathChoice) -> f64 {
+pub fn achieved(eval: &PairProbe, choice: PathChoice) -> f64 {
     match choice {
         PathChoice::Direct => eval.direct.throughput_bps,
         PathChoice::Overlay(node) => eval
@@ -182,7 +183,7 @@ mod tests {
 
     #[test]
     fn filtered_choice_skips_disallowed_relays() {
-        let e = eval(10.0, &[5.0, 30.0, 20.0]);
+        let e = eval(10.0, &[5.0, 30.0, 20.0]).probe();
         assert_eq!(best_choice_filtered(&e, |_| true), PathChoice::Overlay(1));
         assert_eq!(
             best_choice_filtered(&e, |n| n != 1),

@@ -24,10 +24,13 @@
 //!
 //! The run is a pure function of `(config, seed)` at any `--threads N`:
 //!
-//! * per-epoch arrivals come from `(seed, epoch)` substreams, generated
-//!   by `exec::parallel_map` work units and merged in epoch order;
-//! * per-epoch path truth is evaluated with one work unit per pair over
-//!   a read-only [`RouteCache`], merged in pair order;
+//! * each epoch's arrivals come from its `(seed, epoch)` substream,
+//!   generated at the top of that epoch (a plain run frees them when the
+//!   epoch ends);
+//! * per-epoch path truth measures each overlay leg once, one work unit
+//!   per leg over a read-only [`RouteCache`], merged in table order; the
+//!   pairs' one-hop truth and multihop arm scores are composed from that
+//!   table, one work unit per pair, merged in pair order;
 //! * the event loop itself is serial, and [`simcore::EventQueue`] breaks
 //!   time ties FIFO, so the decision sequence is schedule-independent;
 //! * telemetry flows through `obs` unit shards absorbed in unit order.
@@ -40,16 +43,18 @@ use control::{
     Broker, BrokerConfig, Decision, Fleet, FleetConfig, FlowRequest, PathsPolicy, ShardMsg,
     SloAccount, SloTarget, WorkloadConfig,
 };
-use cronets::eval::{modes_from_segments, quality, Measurement, OverlayEval, PairEval};
+use cronets::eval::{modes_from_segments, quality, Measurement, OverlayProbe, PairProbe};
 use cronets::select::{achieved, PathChoice};
 use faults::{FaultKind, FaultSchedule, Invariants};
 use obs::SpanKind;
-use paths::{relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops};
+use paths::{
+    relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops, Waypoint,
+};
 use routing::{NodeAddr, RouteCache};
 use simcore::rng::mix64;
 use simcore::{EventHandle, EventQueue, SimDuration, SimTime};
-use topology::{LinkId, RouterId};
-use transport::model::tcp_throughput;
+use topology::{LinkId, Network, RouterId};
+use transport::model::{tcp_throughput, PathQuality};
 
 use crate::attribution::Attribution;
 use crate::chaos::{availability_by_epoch, ChaosConfig, ChaosReport, ChaosRow};
@@ -582,51 +587,137 @@ pub enum RemoteEvent {
     },
 }
 
-/// Ground-truth path evaluation for every pair under the current
-/// congestion state, over the read-only cache. One work unit per pair,
-/// merged in pair order.
-fn epoch_truth(world: &World, cache: &RouteCache, pairs: &[(RouterId, RouterId)]) -> Vec<PairEval> {
-    let net = &world.net;
-    let params = *world.cronet.params();
-    let tunnel = world.cronet.tunnel();
-    let nodes = world.cronet.nodes();
-    exec::parallel_map(pairs.len(), |pi| {
-        let (server, client) = pairs[pi];
-        let direct_path = cache.route(net, server, client).expect(
-            "pairs are filtered to routable at build time and the route memo never changes",
-        );
-        let q_direct = quality(net, &direct_path);
-        let direct = Measurement {
-            throughput_bps: tcp_throughput(&q_direct, &params),
-            rtt: q_direct.rtt,
-            loss: q_direct.loss,
+/// Every overlay leg one epoch's path truth reads, measured once per
+/// epoch. The one-hop truth and the multihop arm scores both compose
+/// their paths from these qualities, so a leg many pairs share — a
+/// server's leg to a relay, a relay's leg to a client, a mesh leg — is
+/// walked once per epoch, and no router path is joined.
+struct LegTable {
+    /// Leg endpoints in table order: server → node, node → client,
+    /// node → node (multihop only, without the diagonal), then each
+    /// pair's direct leg.
+    legs: Vec<(RouterId, RouterId)>,
+    /// Each pair's (server, client) position in the world's lists.
+    ends: Vec<(usize, usize)>,
+    servers: usize,
+    clients: usize,
+    nodes: usize,
+    mesh: bool,
+    /// This epoch's quality per leg; `None` where no route exists.
+    q: Vec<Option<PathQuality>>,
+}
+
+impl LegTable {
+    fn new(world: &World, pairs: &[(RouterId, RouterId)], mesh: bool) -> LegTable {
+        let pos = |list: &[RouterId], r: RouterId| {
+            list.iter()
+                .position(|&x| x == r)
+                .expect("pairs join the world's servers and clients")
         };
-        let mut overlays = Vec::with_capacity(nodes.len());
-        for (ni, node) in nodes.iter().enumerate() {
-            let Some(seg1) = cache.route(net, server, node.vm()) else {
-                continue;
-            };
-            let Some(seg2) = cache.route(net, node.vm(), client) else {
-                continue;
-            };
-            let q_a = quality(net, &seg1);
-            let q_b = quality(net, &seg2);
-            let (plain, split, discrete_bps) =
-                modes_from_segments(&q_a, &q_b, node, tunnel, &params);
-            overlays.push(OverlayEval {
-                node: ni,
-                plain,
-                split,
-                discrete_bps,
-                path: seg1.join(seg2),
-            });
+        let ends = pairs
+            .iter()
+            .map(|&(s, c)| (pos(&world.servers, s), pos(&world.clients, c)))
+            .collect();
+        let vms: Vec<RouterId> = world.cronet.nodes().iter().map(|n| n.vm()).collect();
+        let mut legs = Vec::new();
+        for &s in &world.servers {
+            legs.extend(vms.iter().map(|&v| (s, v)));
         }
-        PairEval {
-            direct,
-            direct_path,
-            overlays,
+        for &v in &vms {
+            legs.extend(world.clients.iter().map(|&c| (v, c)));
         }
-    })
+        if mesh {
+            for (a, &va) in vms.iter().enumerate() {
+                for (b, &vb) in vms.iter().enumerate() {
+                    if b != a {
+                        legs.push((va, vb));
+                    }
+                }
+            }
+        }
+        legs.extend_from_slice(pairs);
+        LegTable {
+            legs,
+            ends,
+            servers: world.servers.len(),
+            clients: world.clients.len(),
+            nodes: vms.len(),
+            mesh,
+            q: Vec::new(),
+        }
+    }
+
+    /// Measures every leg under the current congestion state: one work
+    /// unit per leg over the read-only cache, merged in table order.
+    fn measure(&mut self, net: &Network, cache: &RouteCache) {
+        let legs = &self.legs;
+        self.q = exec::parallel_map(legs.len(), |k| {
+            let (u, v) = legs[k];
+            cache.route(net, u, v).map(|p| quality(net, &p))
+        });
+    }
+
+    /// This epoch's quality of the leg from `u` to `v` on pair `pi`'s
+    /// paths.
+    fn leg(&self, pi: usize, u: Waypoint, v: Waypoint) -> Option<PathQuality> {
+        let (s, c) = self.ends[pi];
+        let n = self.nodes;
+        let (to_relays, to_clients) = (self.servers * n, n * self.clients);
+        let k = match (u, v) {
+            (Waypoint::Src, Waypoint::Relay(r)) => s * n + r,
+            (Waypoint::Relay(r), Waypoint::Dst) => to_relays + r * self.clients + c,
+            (Waypoint::Relay(a), Waypoint::Relay(b)) => {
+                debug_assert!(self.mesh && a != b, "no mesh leg {a} → {b}");
+                to_relays + to_clients + a * (n - 1) + b - usize::from(b > a)
+            }
+            (Waypoint::Src, Waypoint::Dst) => {
+                let mesh = if self.mesh { n * (n - 1) } else { 0 };
+                to_relays + to_clients + mesh + pi
+            }
+            _ => unreachable!("paths run source → relays → destination"),
+        };
+        self.q[k]
+    }
+
+    /// The one-hop ground truth of every pair: the direct measurement
+    /// and the split measurement through each node whose two legs
+    /// route. One work unit per pair, merged in pair order.
+    fn onehop_truth(&self, world: &World) -> Vec<PairProbe> {
+        let params = *world.cronet.params();
+        let tunnel = world.cronet.tunnel();
+        let nodes = world.cronet.nodes();
+        exec::parallel_map(self.ends.len(), |pi| {
+            let q_direct = self.leg(pi, Waypoint::Src, Waypoint::Dst).expect(
+                "pairs are filtered to routable at build time and the route memo never changes",
+            );
+            let direct = Measurement {
+                throughput_bps: tcp_throughput(&q_direct, &params),
+                rtt: q_direct.rtt,
+                loss: q_direct.loss,
+            };
+            let mut overlays = Vec::with_capacity(nodes.len());
+            overlays.extend(nodes.iter().enumerate().filter_map(|(ni, node)| {
+                let q_a = self.leg(pi, Waypoint::Src, Waypoint::Relay(ni))?;
+                let q_b = self.leg(pi, Waypoint::Relay(ni), Waypoint::Dst)?;
+                let (_, split, _) = modes_from_segments(&q_a, &q_b, node, tunnel, &params);
+                Some(OverlayProbe { node: ni, split })
+            }));
+            PairProbe { direct, overlays }
+        })
+    }
+
+    /// Every pair's fixed multihop arms scored under the current
+    /// congestion state. One work unit per pair, merged in pair order.
+    fn arm_truth(&self, world: &World, cands: &[Vec<Candidate>]) -> Vec<Vec<ArmEval>> {
+        let params = *world.cronet.params();
+        let tunnel = world.cronet.tunnel();
+        let nodes = world.cronet.nodes();
+        exec::parallel_map(cands.len(), |pi| {
+            paths::score_arms(nodes, tunnel, &params, &cands[pi], |u, v| {
+                self.leg(pi, u, v)
+            })
+        })
+    }
 }
 
 /// Completion latency of a flow: one path RTT of setup plus the
@@ -776,11 +867,19 @@ pub(crate) struct ServiceLoop {
     pairs: Vec<(RouterId, RouterId)>,
     multihop: bool,
     cands: Vec<Vec<Candidate>>,
+    /// The overlay legs the per-epoch truth is composed from.
+    legs: LegTable,
     /// The current epoch's one-hop ground truth, per pair. A fault run
     /// keeps it past the last epoch: post-horizon retries price on it.
-    truth: Vec<PairEval>,
+    truth: Vec<PairProbe>,
     /// The current epoch's multihop ground truth, per pair and arm.
     ptruth: Vec<Vec<ArmEval>>,
+    /// The workload seed: epoch `e`'s arrivals are generated at the top
+    /// of epoch `e`.
+    seed: u64,
+    /// Arrivals by epoch. A plain run holds only the running epoch's; a
+    /// fault run keeps every generated epoch, because a killed flow's
+    /// retry reads its pair from its own epoch's arrivals.
     arrivals_by_epoch: Vec<Vec<FlowRequest>>,
     total_arrivals: u64,
     broker: Broker,
@@ -803,7 +902,7 @@ pub(crate) struct ServiceLoop {
 }
 
 impl ServiceLoop {
-    /// Builds the loop's world, pair catalogue, arrival schedule and
+    /// Builds the loop's world, pair catalogue, leg table and
     /// control-plane state. `remote` turns on the cross-region protocol
     /// for one shard of the sharded service.
     ///
@@ -860,14 +959,8 @@ impl ServiceLoop {
             });
         }
 
-        // All arrivals up front: one work unit per epoch, pure in
-        // (seed, epoch), merged in epoch order.
+        let legs = LegTable::new(&world, &pairs, multihop);
         let epochs = cfg.workload.epochs;
-        let arrivals_by_epoch = exec::parallel_map(epochs as usize, |e| {
-            cfg.workload.epoch_arrivals(seed, e as u32)
-        });
-        let total_arrivals: u64 = arrivals_by_epoch.iter().map(|a| a.len() as u64).sum();
-
         let mut broker = Broker::new(cfg.broker);
         if multihop {
             broker.enable_multihop(cands.clone(), BanditConfig::service(), seed);
@@ -882,10 +975,12 @@ impl ServiceLoop {
             pairs,
             multihop,
             cands,
+            legs,
             truth: Vec::new(),
             ptruth: Vec::new(),
-            arrivals_by_epoch,
-            total_arrivals,
+            seed,
+            arrivals_by_epoch: vec![Vec::new(); epochs as usize],
+            total_arrivals: 0,
             broker,
             fleet,
             slo,
@@ -938,9 +1033,10 @@ impl ServiceLoop {
         self.drain_tail();
     }
 
-    /// Runs epoch `e`: congestion step, path truth, probe refresh,
-    /// inbound cross-shard messages, the flow event loop, billing and
-    /// rebalance. `inbox` is empty in the classic single-region run.
+    /// Runs epoch `e`: congestion step, path truth, probe refresh, the
+    /// epoch's arrivals, inbound cross-shard messages, the flow event
+    /// loop, billing and rebalance. `inbox` is empty in the classic
+    /// single-region run.
     pub(crate) fn run_epoch(&mut self, e: u32, inbox: Vec<ShardMsg>) {
         if e > 0 {
             self.world.step_epoch(u64::from(e));
@@ -955,23 +1051,11 @@ impl ServiceLoop {
         }
         let epoch_start = SimTime::ZERO + self.cfg.workload.epoch * u64::from(e);
         let epoch_end = epoch_start + self.cfg.workload.epoch;
+        self.legs.measure(&self.world.net, &self.cache);
         if self.multihop {
-            // Multihop ground truth: one work unit per pair scoring that
-            // pair's fixed arms under the current congestion state.
-            self.ptruth.clear();
-            let net = &self.world.net;
-            let params = *self.world.cronet.params();
-            let tunnel = self.world.cronet.tunnel();
-            let nodes = self.world.cronet.nodes();
-            let (shared, arms) = (&self.cache, &self.cands);
-            let pairs = &self.pairs;
-            self.ptruth = exec::parallel_map(pairs.len(), |pi| {
-                let (s, c) = pairs[pi];
-                paths::evaluate(net, shared, nodes, s, c, tunnel, &params, &arms[pi])
-            });
+            self.ptruth = self.legs.arm_truth(&self.world, &self.cands);
         } else {
-            self.truth.clear();
-            self.truth = epoch_truth(&self.world, &self.cache, &self.pairs);
+            self.truth = self.legs.onehop_truth(&self.world);
         }
         // Probe refresh — unless a blackhole swallows the refresh
         // traffic. Under multihop, budgeted, uncertainty-driven refresh
@@ -992,7 +1076,9 @@ impl ServiceLoop {
                     .observe(s, c, epoch_start, self.truth[pi].clone());
             }
         }
-        for (i, req) in self.arrivals_by_epoch[e as usize].iter().enumerate() {
+        let arrivals = self.cfg.workload.epoch_arrivals(self.seed, e);
+        self.total_arrivals += arrivals.len() as u64;
+        for (i, req) in arrivals.iter().enumerate() {
             self.queue.schedule(
                 req.at,
                 Ev::Arrive {
@@ -1001,6 +1087,7 @@ impl ServiceLoop {
                 },
             );
         }
+        self.arrivals_by_epoch[e as usize] = arrivals;
 
         let b0 = self.broker.stats();
         let (done0, viol0) = (self.slo.completed(), self.slo.violations());
@@ -1081,9 +1168,12 @@ impl ServiceLoop {
             f.drain_spans();
         } else {
             // Only a fault run's post-horizon retries price on the last
-            // epoch's truth; a plain run frees it between epochs.
+            // epoch's truth; a plain run frees it between epochs. Its
+            // arrivals go too: every `Arrive` of epoch `e` is timed
+            // before `epoch_end`, so all of them have popped.
             self.truth.clear();
             self.ptruth.clear();
+            self.arrivals_by_epoch[e as usize] = Vec::new();
         }
     }
 
@@ -1917,6 +2007,100 @@ mod tests {
         let b = service(&multihop_cfg(), 11);
         assert_ne!(a.to_tsv(), b.to_tsv(), "policies must actually differ");
         assert_eq!(a.broker.probe_spent, 0, "one-hop spends no bandit budget");
+    }
+
+    fn bits(m: &Measurement) -> (u64, SimDuration, u64) {
+        (m.throughput_bps.to_bits(), m.rtt, m.loss.to_bits())
+    }
+
+    /// Pair `pi`'s one-hop truth derived pair by pair: a route lookup,
+    /// `quality` and `modes_from_segments` for every leg the pair uses.
+    fn per_pair_truth(svc: &ServiceLoop, pi: usize) -> PairProbe {
+        let (net, cronet) = (&svc.world.net, &svc.world.cronet);
+        let params = *cronet.params();
+        let (server, client) = svc.pairs[pi];
+        let q_direct = quality(net, &svc.cache.route(net, server, client).unwrap());
+        let mut overlays = Vec::new();
+        for (ni, node) in cronet.nodes().iter().enumerate() {
+            let Some(seg1) = svc.cache.route(net, server, node.vm()) else {
+                continue;
+            };
+            let Some(seg2) = svc.cache.route(net, node.vm(), client) else {
+                continue;
+            };
+            let (q_a, q_b) = (quality(net, &seg1), quality(net, &seg2));
+            let (_, split, _) = modes_from_segments(&q_a, &q_b, node, cronet.tunnel(), &params);
+            overlays.push(OverlayProbe { node: ni, split });
+        }
+        PairProbe {
+            direct: Measurement {
+                throughput_bps: tcp_throughput(&q_direct, &params),
+                rtt: q_direct.rtt,
+                loss: q_direct.loss,
+            },
+            overlays,
+        }
+    }
+
+    /// The per-epoch leg table changes how the truth is computed, not
+    /// what: at epoch 0 and after a congestion step, the table-built
+    /// one-hop truth equals the per-pair derivation bit for bit, and the
+    /// table-scored multihop arms equal `paths::evaluate`.
+    #[test]
+    fn leg_table_truth_matches_per_pair_derivation() {
+        for seed in [7, 11, 13] {
+            for policy in [PathsPolicy::OneHop, PathsPolicy::MultiHop] {
+                let mut cfg = ServiceConfig::smoke();
+                cfg.paths = policy;
+                let mut svc = ServiceLoop::new(&cfg, seed, None);
+                let mut epoch0_direct = Vec::new();
+                for e in 0..2 {
+                    if e > 0 {
+                        svc.world.step_epoch(e);
+                    }
+                    svc.legs.measure(&svc.world.net, &svc.cache);
+                    if policy == PathsPolicy::OneHop {
+                        let truth = svc.legs.onehop_truth(&svc.world);
+                        assert_eq!(truth.len(), svc.pairs.len());
+                        for (pi, got) in truth.iter().enumerate() {
+                            let want = per_pair_truth(&svc, pi);
+                            assert_eq!(bits(&got.direct), bits(&want.direct), "pair {pi}");
+                            assert_eq!(got.overlays.len(), want.overlays.len(), "pair {pi}");
+                            for (g, w) in got.overlays.iter().zip(&want.overlays) {
+                                assert_eq!(g.node, w.node, "pair {pi}");
+                                assert_eq!(bits(&g.split), bits(&w.split), "pair {pi}");
+                            }
+                        }
+                        let direct: Vec<_> = truth.iter().map(|t| bits(&t.direct)).collect();
+                        if e == 0 {
+                            epoch0_direct = direct;
+                        } else {
+                            assert_ne!(direct, epoch0_direct, "the congestion step moved nothing");
+                        }
+                    } else {
+                        let arms = svc.legs.arm_truth(&svc.world, &svc.cands);
+                        let (net, cronet) = (&svc.world.net, &svc.world.cronet);
+                        for (pi, got) in arms.iter().enumerate() {
+                            let (s, c) = svc.pairs[pi];
+                            let want = paths::evaluate(
+                                net,
+                                &svc.cache,
+                                cronet.nodes(),
+                                s,
+                                c,
+                                cronet.tunnel(),
+                                cronet.params(),
+                                &svc.cands[pi],
+                            );
+                            assert_eq!(got.len(), want.len(), "pair {pi}");
+                            for (g, w) in got.iter().zip(&want) {
+                                assert_eq!((g.bps.to_bits(), g.rtt), (w.bps.to_bits(), w.rtt));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

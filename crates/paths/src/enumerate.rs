@@ -161,6 +161,67 @@ pub struct ArmEval {
     pub rtt: SimDuration,
 }
 
+/// One end of an overlay leg, named relative to the pair being scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Waypoint {
+    /// The pair's source.
+    Src,
+    /// Overlay node `i` (an index into the node list).
+    Relay(usize),
+    /// The pair's destination.
+    Dst,
+}
+
+/// Scores every candidate from per-leg path qualities: `leg(u, v)` is
+/// the current quality of the leg from `u` to `v`, or `None` where no
+/// route exists (the arms riding it score as dead). Legs are asked for
+/// in traversal order, stopping at the first dead one. [`evaluate`]
+/// answers them from the route cache; the online service answers them
+/// from a table that measures each overlay leg once per epoch for all
+/// pairs.
+#[must_use]
+pub fn score_arms(
+    nodes: &[OverlayNode],
+    tunnel: TunnelKind,
+    params: &TcpParams,
+    cands: &[Candidate],
+    mut leg: impl FnMut(Waypoint, Waypoint) -> Option<PathQuality>,
+) -> Vec<ArmEval> {
+    let dead = ArmEval {
+        bps: 0.0,
+        rtt: SimDuration::ZERO,
+    };
+    let mut chain: Vec<&OverlayNode> = Vec::with_capacity(Hops::MAX_HOPS);
+    let mut legs: Vec<PathQuality> = Vec::with_capacity(Hops::MAX_HOPS + 1);
+    cands
+        .iter()
+        .map(|c| {
+            if c.hops.is_empty() {
+                return leg(Waypoint::Src, Waypoint::Dst).map_or(dead, |q| ArmEval {
+                    bps: tcp_throughput(&q, params),
+                    rtt: q.rtt,
+                });
+            }
+            legs.clear();
+            let mut from = Waypoint::Src;
+            for to in c.hops.iter().map(Waypoint::Relay).chain([Waypoint::Dst]) {
+                match leg(from, to) {
+                    Some(q) => legs.push(q),
+                    None => return dead,
+                }
+                from = to;
+            }
+            chain.clear();
+            chain.extend(c.hops.iter().map(|i| &nodes[i]));
+            let m = chain_measurement(&legs, &chain, tunnel, params);
+            ArmEval {
+                bps: m.throughput_bps,
+                rtt: m.rtt,
+            }
+        })
+        .collect()
+}
+
 /// Scores every candidate under the current congestion state, reading
 /// routes only through the (immutable) warmed cache so calls are safe
 /// inside `exec::parallel_map`. Leg qualities are memoized within the
@@ -178,47 +239,18 @@ pub fn evaluate(
     params: &TcpParams,
     cands: &[Candidate],
 ) -> Vec<ArmEval> {
+    let at = |w: Waypoint| match w {
+        Waypoint::Src => src,
+        Waypoint::Relay(i) => nodes[i].vm(),
+        Waypoint::Dst => dst,
+    };
     let mut memo: HashMap<(RouterId, RouterId), Option<PathQuality>> = HashMap::new();
-    let mut leg = |u: RouterId, v: RouterId| -> Option<PathQuality> {
+    score_arms(nodes, tunnel, params, cands, |u, v| {
+        let (u, v) = (at(u), at(v));
         *memo
             .entry((u, v))
             .or_insert_with(|| cache.route(net, u, v).map(|p| quality(net, &p)))
-    };
-    let dead = ArmEval {
-        bps: 0.0,
-        rtt: SimDuration::ZERO,
-    };
-    cands
-        .iter()
-        .map(|c| {
-            if c.hops.is_empty() {
-                return match leg(src, dst) {
-                    Some(q) => ArmEval {
-                        bps: tcp_throughput(&q, params),
-                        rtt: q.rtt,
-                    },
-                    None => dead,
-                };
-            }
-            let chain: Vec<&OverlayNode> = c.hops.iter().map(|i| &nodes[i]).collect();
-            let mut waypoints: Vec<RouterId> = Vec::with_capacity(c.hops.len() + 2);
-            waypoints.push(src);
-            waypoints.extend(chain.iter().map(|o| o.vm()));
-            waypoints.push(dst);
-            let mut legs: Vec<PathQuality> = Vec::with_capacity(waypoints.len() - 1);
-            for w in waypoints.windows(2) {
-                match leg(w[0], w[1]) {
-                    Some(q) => legs.push(q),
-                    None => return dead,
-                }
-            }
-            let m = chain_measurement(&legs, &chain, tunnel, params);
-            ArmEval {
-                bps: m.throughput_bps,
-                rtt: m.rtt,
-            }
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]

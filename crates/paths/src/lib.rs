@@ -27,7 +27,8 @@ pub mod enumerate;
 
 pub use bandit::{BanditConfig, PathBandit};
 pub use enumerate::{
-    enumerate, evaluate, relay_hop_price_per_gb, ArmEval, Candidate, EnumerateConfig,
+    enumerate, evaluate, relay_hop_price_per_gb, score_arms, ArmEval, Candidate, EnumerateConfig,
+    Waypoint,
 };
 
 /// A relay chain of up to three overlay-node indices, in traversal

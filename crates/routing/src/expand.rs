@@ -103,6 +103,22 @@ impl Scratch {
             }
         }
     }
+
+    /// The last search's path from its source to the settled router
+    /// `to`, rebuilt from the predecessor chain.
+    fn path_to(&self, to: RouterId) -> RouterPath {
+        let mut routers = vec![to];
+        let mut links = Vec::new();
+        let mut cur = to;
+        while let Some((p, l)) = self.prev(cur) {
+            routers.push(p);
+            links.push(l);
+            cur = p;
+        }
+        routers.reverse();
+        links.reverse();
+        RouterPath::new(routers, links)
+    }
 }
 
 thread_local! {
@@ -130,21 +146,7 @@ pub fn intra_as_path(net: &Network, from: RouterId, to: RouterId) -> Option<Rout
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         s.dijkstra(net, from, Some(to));
-        if s.dist(to) == u64::MAX {
-            return None;
-        }
-        // Reconstruct.
-        let mut routers = vec![to];
-        let mut links = Vec::new();
-        let mut cur = to;
-        while let Some((p, l)) = s.prev(cur) {
-            routers.push(p);
-            links.push(l);
-            cur = p;
-        }
-        routers.reverse();
-        links.reverse();
-        Some(RouterPath::new(routers, links))
+        (s.dist(to) != u64::MAX).then(|| s.path_to(to))
     })
 }
 
@@ -188,7 +190,7 @@ pub fn expand_as_path(
 ) -> Option<RouterPath> {
     let mut path = RouterPath::trivial(src);
     let mut ingress = src;
-    for (i, window) in as_path.windows(2).enumerate() {
+    for window in as_path.windows(2) {
         let (cur_as, next_as) = (window[0], window[1]);
         debug_assert_eq!(net.router(ingress).asn(), cur_as, "expansion desync");
         // Hot potato: among the links to next_as, pick the one whose
@@ -197,6 +199,10 @@ pub fn expand_as_path(
         if candidates.is_empty() {
             return None;
         }
+        // One search per AS hop: the full intra-AS run that ranks the
+        // borders also holds the path to the winner. Weights are at
+        // least 1, so that path settles before the winner does, exactly
+        // as in a search stopped there.
         let best = SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
             s.dijkstra(net, ingress, None);
@@ -217,14 +223,12 @@ pub fn expand_as_path(
                     best = Some(cand);
                 }
             }
-            best
+            best.map(|(_, l, near, far)| (s.path_to(near), l, near, far))
         });
-        let (_, l, near, far) = best?;
-        let to_border = intra_as_path(net, ingress, near)?;
+        let (to_border, l, near, far) = best?;
         path = path.join(to_border);
         path = path.join(RouterPath::new(vec![near, far], vec![l]));
         ingress = far;
-        let _ = i;
     }
     // Final leg inside the destination AS.
     let tail = intra_as_path(net, ingress, dst)?;

@@ -9,27 +9,21 @@ use cloud::{PortSpeed, TrafficPlan};
 use control::{
     Broker, BrokerConfig, Decision, Fleet, FleetConfig, RelayState, SloAccount, SloTarget,
 };
-use cronets::eval::{Measurement, OverlayEval, PairEval};
-use routing::RouterPath;
+use cronets::eval::{Measurement, OverlayProbe, PairProbe};
 use simcore::{SimDuration, SimTime};
 use topology::RouterId;
 
-fn probe(direct_bps: f64, overlay_bps: f64) -> PairEval {
-    let path = RouterPath::trivial(RouterId::from_raw(0));
+fn probe(direct_bps: f64, overlay_bps: f64) -> PairProbe {
     let meas = |bps: f64| Measurement {
         throughput_bps: bps,
         rtt: SimDuration::from_millis(80),
         loss: 0.005,
     };
-    PairEval {
+    PairProbe {
         direct: meas(direct_bps),
-        direct_path: path.clone(),
-        overlays: vec![OverlayEval {
+        overlays: vec![OverlayProbe {
             node: 0,
-            plain: meas(0.8 * overlay_bps),
             split: meas(overlay_bps),
-            discrete_bps: overlay_bps,
-            path,
         }],
     }
 }
