@@ -169,30 +169,6 @@ fn bench_metrics_enabled() -> f64 {
     ns
 }
 
-/// The span hot path with recording off: the cost every span site pays
-/// in a plain run — must stay in the same class as
-/// `metrics_add_disabled` (one thread-local flag read).
-fn bench_span_emit_disabled() -> f64 {
-    obs::set_span_recording(false);
-    obs::reset_spans();
-    bench(1_000_000, 7, || {
-        obs::span(black_box(1), 0, obs::SpanKind::Admit, 1, 1, 0)
-    })
-}
-
-/// The same path with recording on (ring write + id bump; the ring
-/// overwrites its oldest slot when full, so the cost stays flat).
-fn bench_span_emit_enabled() -> f64 {
-    obs::reset_spans();
-    obs::set_span_recording(true);
-    let ns = bench(1_000_000, 7, || {
-        obs::span(black_box(1), 0, obs::SpanKind::Admit, 1, 1, 0)
-    });
-    obs::set_span_recording(false);
-    obs::reset_spans();
-    ns
-}
-
 /// `cronets report` over a real smoke-chaos artifact set: parse the
 /// manifest, attribution table and span stream, then render the text
 /// and OpenMetrics outputs.
@@ -447,8 +423,6 @@ fn main() {
         ("c45_fit_2k_rows", bench_c45()),
         ("metrics_add_disabled", bench_metrics_disabled()),
         ("metrics_add_enabled", bench_metrics_enabled()),
-        ("span_emit_disabled", bench_span_emit_disabled()),
-        ("span_emit_enabled", bench_span_emit_enabled()),
         ("broker_decision", bench_broker_decision()),
         ("service_smoke", bench_service_smoke()),
         ("shard_barrier_epoch", bench_shard_barrier()),

@@ -77,7 +77,7 @@ struct Probe {
 }
 
 /// Per-decision counters, kept locally so the broker is testable without
-/// the `obs` registry; [`Broker::publish`] exports them.
+/// the `obs` registry; [`Broker::publish_prefixed`] exports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerStats {
     /// Flows admitted (overlay + direct).
@@ -285,12 +285,6 @@ impl Broker {
         });
     }
 
-    /// The candidate chains enumerated for `pair` (multihop only).
-    #[must_use]
-    pub fn path_candidates(&self, pair: usize) -> &[Candidate] {
-        &self.mh().pairs[pair].cands
-    }
-
     /// Seeds every arm of `pair` from a full ground-truth sweep — the
     /// epoch-0 bootstrap, analogous to the one-hop loop's first probe
     /// refresh.
@@ -388,24 +382,15 @@ impl Broker {
         }
     }
 
-    fn mh(&self) -> &Multihop {
-        self.multihop.as_ref().expect("multihop policy not enabled")
-    }
-
     /// The decision counters so far.
     #[must_use]
     pub fn stats(&self) -> BrokerStats {
         self.stats
     }
 
-    /// Exports the decision counters through `obs` (no-op while
-    /// collection is disabled).
-    pub fn publish(&self) {
-        self.publish_prefixed("control.");
-    }
-
-    /// Exports the decision counters under an explicit namespace prefix
-    /// (e.g. `control.shard3.`); see `crate::shard`.
+    /// Exports the decision counters through `obs` under a namespace
+    /// prefix (`control.`, or e.g. `control.shard3.`; see
+    /// `crate::shard`). No-op while collection is disabled.
     pub fn publish_prefixed(&self, prefix: &str) {
         crate::shard::publish_broker_stats(prefix, &self.stats);
     }

@@ -61,7 +61,7 @@ pub enum RelayState {
     Failed,
 }
 
-/// Scaling-event counters; [`Fleet::publish`] exports them.
+/// Scaling-event counters; [`Fleet::publish_prefixed`] exports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Relays rented or reactivated.
@@ -476,16 +476,11 @@ impl Fleet {
         self.flows[i]
     }
 
-    /// Exports counters and gauges through `obs` (no-op while collection
-    /// is disabled).
-    pub fn publish(&self) {
-        self.publish_prefixed("control.");
-    }
-
-    /// Exports counters and gauges under an explicit namespace prefix
-    /// (e.g. `control.shard3.`); the sharded service publishes every
-    /// region's fleet this way and folds a merged rollup under the
-    /// classic `control.` names.
+    /// Exports counters and gauges through `obs` under a namespace
+    /// prefix (`control.`, or e.g. `control.shard3.`: the sharded
+    /// service publishes every region's fleet this way and folds a
+    /// merged rollup under the classic `control.` names). No-op while
+    /// collection is disabled.
     pub fn publish_prefixed(&self, prefix: &str) {
         crate::shard::publish_fleet_stats(prefix, &self.stats);
         obs::set(

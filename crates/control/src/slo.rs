@@ -194,15 +194,10 @@ impl SloAccount {
         }
     }
 
-    /// Exports totals through `obs`: service-wide `control.slo.completed`
-    /// / `control.slo.violations` plus per-tenant labeled counters.
-    /// No-op while collection is disabled.
-    pub fn publish(&self) {
-        self.publish_prefixed("control.");
-    }
-
-    /// Exports totals under an explicit namespace prefix (e.g.
-    /// `control.shard3.`); see `crate::shard`.
+    /// Exports totals through `obs` under a namespace prefix (`control.`,
+    /// or e.g. `control.shard3.`; see `crate::shard`): `slo.completed` /
+    /// `slo.violations` plus per-tenant labeled counters. No-op while
+    /// collection is disabled.
     pub fn publish_prefixed(&self, prefix: &str) {
         let completed = format!("{prefix}slo.completed");
         let violations = format!("{prefix}slo.violations");

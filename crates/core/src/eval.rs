@@ -7,7 +7,7 @@
 //! a split-overlay runs one TCP loop per segment so the end-to-end rate
 //! is the slower segment's.
 
-use routing::{expand_as_path, route, Bgp, RouterPath};
+use routing::{route, Bgp, RouterPath};
 use simcore::SimDuration;
 use topology::{Network, RouterId};
 use transport::model::{split_tcp_throughput, tcp_throughput, PathQuality, TcpParams};
@@ -147,12 +147,6 @@ impl PairEval {
     #[must_use]
     pub fn split_improvement_ratio(&self) -> f64 {
         self.best_split_bps() / self.direct.throughput_bps.max(1.0)
-    }
-
-    /// Improvement ratio of the best plain overlay over the direct path.
-    #[must_use]
-    pub fn plain_improvement_ratio(&self) -> f64 {
-        self.best_plain_bps() / self.direct.throughput_bps.max(1.0)
     }
 
     /// The overlay node index achieving the best split throughput.
@@ -407,25 +401,6 @@ pub fn quality(net: &Network, path: &RouterPath) -> PathQuality {
         loss: path.loss_prob(net),
         bottleneck_bps: path.bottleneck_bps(net),
     }
-}
-
-/// Evaluates the direct path along an explicit AS path (used by tests to
-/// compare hypothetical routes).
-#[must_use]
-pub fn eval_along(
-    net: &Network,
-    as_path: &[topology::AsId],
-    a: RouterId,
-    b: RouterId,
-    params: &TcpParams,
-) -> Option<Measurement> {
-    let path = expand_as_path(net, as_path, a, b)?;
-    let q = quality(net, &path);
-    Some(Measurement {
-        throughput_bps: tcp_throughput(&q, params),
-        rtt: q.rtt,
-        loss: q.loss,
-    })
 }
 
 #[cfg(test)]

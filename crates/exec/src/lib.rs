@@ -16,14 +16,13 @@
 //! * **Ordered merge.** Workers pull indices from an atomic counter (so
 //!   scheduling is load-balanced and nondeterministic) but results are
 //!   sorted by unit index before anything observable happens.
-//! * **Telemetry sharding.** When `obs` collection or span recording is
-//!   on, every unit runs under [`obs::capture_unit`] — its own registry,
-//!   trace ring, and span ring — and the shards are absorbed in unit
-//!   order on the calling thread (span ids re-base onto the caller's
-//!   counter). The capture path is used at *every* thread count, one
-//!   included, so the snapshot and span stream are pure functions of the
-//!   seed, not of the schedule. Sim-time profile charges are additive,
-//!   so worker profiles merge commutatively after join.
+//! * **Telemetry sharding.** When `obs` collection is on, every unit
+//!   runs under [`obs::capture_unit`] — its own registry and trace
+//!   ring — and the shards are absorbed in unit order on the calling
+//!   thread. The capture path is used at *every* thread count, one
+//!   included, so the snapshot is a pure function of the seed, not of
+//!   the schedule. Sim-time profile charges are additive, so worker
+//!   profiles merge commutatively after join.
 //!
 //! The pool size comes from [`threads`]: the `--threads N` CLI flag (via
 //! [`set_threads`]) or `std::thread::available_parallelism` by default.
@@ -83,9 +82,7 @@ where
     } else {
         threads().min(n_units).max(1)
     };
-    // Span recording is independent of metrics collection (plain runs
-    // still attribute faults), so either flag selects the capture path.
-    let sharded = obs::enabled() || obs::span_recording();
+    let sharded = obs::enabled();
     let profiling = simcore::profile::enabled();
     if workers == 1 {
         if sharded {
@@ -108,7 +105,6 @@ where
 
     let next = AtomicUsize::new(0);
     let trace_filter = obs::trace_filter();
-    let span_recording = obs::span_recording();
     let mut tagged: Vec<(usize, T, Option<obs::UnitShard>)> = Vec::with_capacity(n_units);
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -118,10 +114,8 @@ where
                 scope.spawn(move || {
                     if sharded {
                         // Workers are fresh threads: propagate the trace
-                        // filter and span flag so units see the caller's
-                        // selection.
+                        // filter so units see the caller's selection.
                         obs::set_trace_filter(trace_filter);
-                        obs::set_span_recording(span_recording);
                     }
                     // Profile charges are additive sim-ns, merged after
                     // join — commutative, so no ordered capture needed.
@@ -183,12 +177,12 @@ where
 /// Shards are multiplexed onto `lanes` worker threads (clamped to
 /// `[1, n]`) by static assignment: lane `l` owns shards `l, l+lanes,
 /// l+2·lanes, …` and steps them in increasing index order. Telemetry
-/// follows the [`parallel_map`] contract — with collection or span
-/// recording on, each shard-step runs under [`obs::capture_unit`] and
-/// the shards are absorbed in shard-index order at the barrier — and
-/// nested [`parallel_map`] calls inside a lane run inline, so the
-/// result, metrics, spans and traces are byte-identical for any
-/// `(lanes, threads)` combination.
+/// follows the [`parallel_map`] contract — with collection on, each
+/// shard-step runs under [`obs::capture_unit`] and the shards are
+/// absorbed in shard-index order at the barrier — and nested
+/// [`parallel_map`] calls inside a lane run inline, so the result,
+/// metrics and traces are byte-identical for any `(lanes, threads)`
+/// combination.
 ///
 /// # Panics
 ///
@@ -214,7 +208,7 @@ where
     let lanes = lanes.clamp(1, n);
     let mut inboxes: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
     for round in 0..rounds {
-        let sharded = obs::enabled() || obs::span_recording();
+        let sharded = obs::enabled();
         let mut outboxes: Vec<Vec<(usize, M)>> = Vec::with_capacity(n);
         if lanes == 1 {
             // Inline on the caller; nested parallel_map still uses the
@@ -244,7 +238,6 @@ where
                 lane_work[i % lanes].push((i, state, inbox));
             }
             let trace_filter = obs::trace_filter();
-            let span_recording = obs::span_recording();
             let profiling = simcore::profile::enabled();
             type Stepped<S, M> = (usize, S, Vec<(usize, M)>, Option<obs::UnitShard>);
             let mut tagged: Vec<Stepped<S, M>> = Vec::with_capacity(n);
@@ -257,7 +250,6 @@ where
                             INLINE.with(|c| c.set(true));
                             if sharded {
                                 obs::set_trace_filter(trace_filter);
-                                obs::set_span_recording(span_recording);
                             }
                             simcore::profile::set_enabled(profiling);
                             let mut local = Vec::with_capacity(work.len());
@@ -372,40 +364,29 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_spans_or_profile() {
+    fn thread_count_does_not_change_profile() {
         let _g = guard();
         let run = |threads: usize| {
             set_threads(threads);
             obs::disable();
-            obs::reset_spans();
-            obs::set_span_recording(true);
             simcore::profile::reset();
             simcore::profile::set_enabled(true);
             let out = parallel_map(16, |i| {
-                let root = obs::span(i as u64, 0, obs::SpanKind::FlowArrive, i as u64, 0, 100);
-                obs::span(i as u64 + 1, root, obs::SpanKind::Admit, i as u64, 1, 0);
                 simcore::profile::leaf(&["exec", "unit"], 10 + i as u64);
                 i
             });
-            let spans = obs::drain_spans();
             let prof = simcore::profile::folded();
-            obs::set_span_recording(false);
             simcore::profile::set_enabled(false);
             simcore::profile::reset();
-            (out, spans, prof)
+            (out, prof)
         };
         let serial = run(1);
         let par = run(8);
         set_threads(0);
         assert_eq!(serial.0, par.0);
-        assert_eq!(serial.1, par.1, "spans depend on the thread count");
-        assert_eq!(serial.2, par.2, "profile depends on the thread count");
-        assert_eq!(serial.1 .0.len(), 32);
-        // Ids re-base into one contiguous serial-equivalent stream.
-        let ids: Vec<u64> = serial.1 .0.iter().map(|s| s.id).collect();
-        assert_eq!(ids, (1..=32).collect::<Vec<u64>>());
+        assert_eq!(serial.1, par.1, "profile depends on the thread count");
         assert_eq!(
-            serial.2,
+            serial.1,
             format!("exec;unit {}", 16 * 10 + (0..16).sum::<usize>())
         );
     }

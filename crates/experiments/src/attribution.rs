@@ -1,7 +1,7 @@
 //! Fault attribution: charging kills, lost bytes, and SLO breaches to
 //! the fault events that caused them by walking span causality.
 //!
-//! The chaos run emits a causal span stream (`obs::span`): every
+//! The chaos run emits a causal span stream ([`obs::SpanRecord`]): every
 //! `flow_kill` points at the `fault_inject` span that crashed its relay,
 //! every `flow_retry` points at its kill, every `admit` points at the
 //! arrival or retry it served, and every `slo_breach` points at the
@@ -10,7 +10,10 @@
 //! completion → admission → retry → kill until a `fault_inject` root is
 //! reached. A chain that ends at a plain arrival carried no fault, so
 //! its breach is **unattributed** — explicitly counted, never silently
-//! dropped. The same goes for chains broken by span-ring overwrites.
+//! dropped. The same goes for a chain broken by a dropped span: the
+//! chaos run keeps a bounded window of spans per epoch
+//! (`ChaosReport::span_dropped`), and a kill or breach whose own span
+//! was dropped is counted in no row.
 //!
 //! When a flow is killed more than once, the walk charges the breach to
 //! the **proximate** (most recent) kill's fault: the last admission in
@@ -187,12 +190,6 @@ impl Attribution {
     #[must_use]
     pub fn attributed_breaches(&self) -> u64 {
         self.charges.iter().map(|c| c.breaches).sum()
-    }
-
-    /// Total lost bytes charged to fault events.
-    #[must_use]
-    pub fn attributed_bytes_lost(&self) -> u64 {
-        self.charges.iter().map(|c| c.bytes_lost).sum()
     }
 
     /// The charge table as TSV: a `#` header, one row per fault event in

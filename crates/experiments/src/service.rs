@@ -783,8 +783,70 @@ struct EpochFaults {
     ratio_sum: f64,
 }
 
+/// Spans a log keeps from one window. It is the capacity of the span
+/// ring this log replaced, kept so the chaos outputs stay what that
+/// ring made them; lossless attribution (ROADMAP item 4) deletes it.
+const SPAN_WINDOW: usize = 32_768;
+
+/// A run's causal span stream, in emission order. Ids count from 1 per
+/// run (0 reads as "no parent"). Spans are kept in windows, closed at
+/// each epoch's end and once after the horizon: a window keeps its
+/// newest [`SPAN_WINDOW`] spans and counts the older ones as dropped.
+/// Dropped spans keep their ids, so a chain through one breaks.
+struct SpanLog {
+    spans: Vec<obs::SpanRecord>,
+    next_id: u64,
+    dropped: u64,
+    /// Where the open window starts in `spans`.
+    window: usize,
+}
+
+impl SpanLog {
+    fn new() -> SpanLog {
+        SpanLog {
+            spans: Vec::new(),
+            next_id: 1,
+            dropped: 0,
+            window: 0,
+        }
+    }
+
+    /// Records one span and returns its id.
+    fn emit(
+        &mut self,
+        t: SimTime,
+        parent: u64,
+        kind: SpanKind,
+        subject: u64,
+        a: u64,
+        b: u64,
+    ) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.spans.push(obs::SpanRecord {
+            t_ns: t.as_nanos(),
+            id,
+            parent,
+            kind,
+            subject,
+            a,
+            b,
+        });
+        id
+    }
+
+    /// Closes the open window, dropping all but its newest
+    /// [`SPAN_WINDOW`] spans.
+    fn close_window(&mut self) {
+        let over = (self.spans.len() - self.window).saturating_sub(SPAN_WINDOW);
+        self.spans.drain(self.window..self.window + over);
+        self.dropped += over as u64;
+        self.window = self.spans.len();
+    }
+}
+
 /// The fault side of a run under a schedule: the nemesis's state, the
-/// invariant checker, the kill index and the causal span stream.
+/// invariant checker, the kill index and the causal span log.
 struct Nemesis {
     schedule: FaultSchedule,
     /// Application-layer failure detection delay of a killed flow.
@@ -800,8 +862,7 @@ struct Nemesis {
     /// Open link-degradation windows: salt → (victim, severity floor).
     degraded: BTreeMap<u64, (LinkId, f64)>,
     blackhole_depth: u32,
-    spans: Vec<obs::SpanRecord>,
-    span_dropped: u64,
+    log: SpanLog,
     profiling: bool,
     prof_last: SimTime,
     killed: u64,
@@ -826,8 +887,7 @@ impl Nemesis {
             in_flight: BTreeMap::new(),
             degraded: BTreeMap::new(),
             blackhole_depth: 0,
-            spans: Vec::new(),
-            span_dropped: 0,
+            log: SpanLog::new(),
             profiling: simcore::profile::enabled(),
             prof_last: SimTime::ZERO,
             killed: 0,
@@ -844,14 +904,6 @@ impl Nemesis {
         for i in 0..fleet.groups() {
             self.inv.set_relay_state(i, fleet.relay_state(i));
         }
-    }
-
-    /// Drains the bounded span ring. Every epoch drains it so a full
-    /// day's spans never overwrite each other.
-    fn drain_spans(&mut self) {
-        let (drained, dropped) = obs::drain_spans();
-        self.spans.extend(drained);
-        self.span_dropped += dropped;
     }
 }
 
@@ -1129,8 +1181,8 @@ impl ServiceLoop {
         if let Some(f) = self.faults.as_deref_mut() {
             let fs1 = self.fleet.stats();
             if fs1.scale_ups != fs0.scale_ups || fs1.drains != fs0.drains {
-                obs::span(
-                    epoch_end.as_nanos(),
+                f.log.emit(
+                    epoch_end,
                     0,
                     SpanKind::FleetScale,
                     u64::from(e),
@@ -1165,7 +1217,7 @@ impl ServiceLoop {
                 },
                 spend_usd: row.spend_usd,
             });
-            f.drain_spans();
+            f.log.close_window();
         } else {
             // Only a fault run's post-horizon retries price on the last
             // epoch's truth; a plain run frees it between epochs. Its
@@ -1318,8 +1370,8 @@ impl ServiceLoop {
                 let pi = pair_of(req.client, self.pairs.len());
                 let mut parent = 0;
                 if let Some(f) = self.faults.as_deref_mut() {
-                    parent = obs::span(
-                        now.as_nanos(),
+                    parent = f.log.emit(
+                        now,
                         0,
                         SpanKind::FlowArrive,
                         req.id,
@@ -1340,8 +1392,8 @@ impl ServiceLoop {
                 f.retries += 1;
                 f.ep.retries += 1;
                 f.ep.failover_ns += u128::from((now - k.crashed_at).as_nanos());
-                let retry = obs::span(
-                    now.as_nanos(),
+                let retry = f.log.emit(
+                    now,
                     k.kill_span,
                     SpanKind::FlowRetry,
                     k.flow,
@@ -1375,8 +1427,8 @@ impl ServiceLoop {
                     if !slots.is_empty() {
                         f.in_flight.remove(&flow);
                     }
-                    let done = obs::span(
-                        now.as_nanos(),
+                    let done = f.log.emit(
+                        now,
                         span,
                         SpanKind::FlowComplete,
                         flow,
@@ -1384,8 +1436,8 @@ impl ServiceLoop {
                         bytes,
                     );
                     if breach.any() {
-                        obs::span(
-                            now.as_nanos(),
+                        f.log.emit(
+                            now,
                             done,
                             SpanKind::SloBreach,
                             flow,
@@ -1533,12 +1585,12 @@ impl ServiceLoop {
         let Some(st) = self.steer(pi, now) else {
             self.slo.record_denial(tenant);
             if let Some(f) = self.faults.as_deref_mut() {
-                let admitted = obs::span(now.as_nanos(), parent, SpanKind::Admit, flow, 0, 0);
+                let admitted = f.log.emit(now, parent, SpanKind::Admit, flow, 0, 0);
                 // A denial breaches immediately (mask 4): charged here so
                 // the attribution walk can reach the causing fault via
                 // the retry/kill chain above `parent`.
-                obs::span(
-                    now.as_nanos(),
+                f.log.emit(
+                    now,
                     admitted,
                     SpanKind::SloBreach,
                     flow,
@@ -1562,8 +1614,8 @@ impl ServiceLoop {
         if let Some(f) = self.faults.as_deref_mut() {
             // Span arg a encodes the path (1 direct, 2 one relay, more
             // for longer chains); b names the ingress relay.
-            span = obs::span(
-                now.as_nanos(),
+            span = f.log.emit(
+                now,
                 parent,
                 SpanKind::Admit,
                 flow,
@@ -1673,8 +1725,8 @@ impl ServiceLoop {
             fault.kind.discriminant(),
             fault.kind.target(),
         );
-        let fault_span = obs::span(
-            now.as_nanos(),
+        let fault_span = f.log.emit(
+            now,
             0,
             SpanKind::FaultInject,
             u64::from(idx),
@@ -1713,8 +1765,8 @@ impl ServiceLoop {
                     let elapsed = (now - fl.started).as_nanos();
                     let delivered =
                         ((u128::from(fl.bytes) * u128::from(elapsed)) / u128::from(total)) as u64;
-                    let kill = obs::span(
-                        now.as_nanos(),
+                    let kill = f.log.emit(
+                        now,
                         fault_span,
                         SpanKind::FlowKill,
                         flow,
@@ -1826,7 +1878,7 @@ impl ServiceLoop {
     }
 
     /// Finishes a run under a fault schedule: the checker's end-of-run
-    /// verdict, the last span drain and fault attribution, then the
+    /// verdict, the last span window and fault attribution, then the
     /// telemetry of [`ServiceLoop::into_report`] plus the fault and
     /// check-site counters.
     ///
@@ -1838,8 +1890,8 @@ impl ServiceLoop {
         // End-of-run checks carry no span; stamp them with the horizon.
         f.inv.context(self.horizon, 0);
         f.inv.finish();
-        f.drain_spans();
-        let attribution = Attribution::attribute(&f.spans);
+        f.log.close_window();
+        let attribution = Attribution::attribute(&f.log.spans);
         let report = self.into_report(prefix);
         let counts = f.schedule.counts();
         obs::add_named("faults.injected", f.schedule.len() as u64);
@@ -1850,7 +1902,7 @@ impl ServiceLoop {
         obs::add_named("faults.cache_poisonings", counts.poisons);
         obs::add_named("faults.flows_killed", f.killed);
         obs::add_named("faults.retries", f.retries);
-        obs::add_named("obs.spans_dropped", f.span_dropped);
+        obs::add_named("obs.spans_dropped", f.log.dropped);
         // Invariant check-site hit counts: the fuzzer's coverage map
         // keys on which checks a schedule actually reached.
         for (site, n) in f.inv.site_counts() {
@@ -1869,8 +1921,8 @@ impl ServiceLoop {
             spend_usd: report.spend_usd,
             budget_usd: report.budget_usd,
             invariant_violations: f.inv.violations().to_vec(),
-            spans: f.spans,
-            span_dropped: f.span_dropped,
+            spans: f.log.spans,
+            span_dropped: f.log.dropped,
             attribution,
         }
     }
@@ -1894,6 +1946,99 @@ pub fn service(cfg: &ServiceConfig, seed: u64) -> ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The thread-local span ring [`SpanLog`] replaced, as the
+    /// reference its windows must reproduce: a full ring overwrites its
+    /// oldest record, and a drain returns the kept records in emission
+    /// order with the count overwritten since the last drain.
+    struct RefRing {
+        buf: Vec<obs::SpanRecord>,
+        head: usize,
+        dropped: u64,
+        next_id: u64,
+    }
+
+    impl RefRing {
+        fn span(&mut self, t_ns: u64, parent: u64, kind: SpanKind, subject: u64) -> u64 {
+            let id = self.next_id;
+            self.next_id += 1;
+            let rec = obs::SpanRecord {
+                t_ns,
+                id,
+                parent,
+                kind,
+                subject,
+                a: t_ns ^ subject,
+                b: id * 3,
+            };
+            if self.buf.len() < SPAN_WINDOW {
+                self.buf.push(rec);
+            } else {
+                self.buf[self.head] = rec;
+                self.head = (self.head + 1) % SPAN_WINDOW;
+                self.dropped += 1;
+            }
+            id
+        }
+
+        fn drain(&mut self) -> (Vec<obs::SpanRecord>, u64) {
+            let mut out = std::mem::take(&mut self.buf);
+            let pivot = self.head % out.len().max(1);
+            out.rotate_left(pivot);
+            self.head = 0;
+            (out, std::mem::take(&mut self.dropped))
+        }
+    }
+
+    #[test]
+    fn span_log_windows_match_the_ring_they_replaced() {
+        const KINDS: [SpanKind; 8] = [
+            SpanKind::FlowArrive,
+            SpanKind::Admit,
+            SpanKind::FlowComplete,
+            SpanKind::FlowKill,
+            SpanKind::FlowRetry,
+            SpanKind::SloBreach,
+            SpanKind::FaultInject,
+            SpanKind::FleetScale,
+        ];
+        let mut ring = RefRing {
+            buf: Vec::new(),
+            head: 0,
+            dropped: 0,
+            next_id: 1,
+        };
+        let mut log = SpanLog::new();
+        let (mut kept, mut dropped) = (Vec::new(), 0);
+        let mut x = 7u64;
+        for window in [0, 1, SPAN_WINDOW - 1, SPAN_WINDOW, SPAN_WINDOW + 1, 70_001] {
+            for _ in 0..window {
+                x = mix64(x);
+                // Half the spans are roots; the rest name an earlier id,
+                // which may already be dropped.
+                let parent = if x & 1 == 0 { 0 } else { x % log.next_id };
+                let kind = KINDS[(x >> 8) as usize % KINDS.len()];
+                let (t_ns, subject) = (x >> 20, x >> 40);
+                let id = ring.span(t_ns, parent, kind, subject);
+                let rec = log.emit(
+                    SimTime::from_nanos(t_ns),
+                    parent,
+                    kind,
+                    subject,
+                    t_ns ^ subject,
+                    id * 3,
+                );
+                assert_eq!(rec, id);
+            }
+            let (recs, d) = ring.drain();
+            kept.extend(recs);
+            dropped += d;
+            log.close_window();
+            assert_eq!(log.spans, kept, "window of {window}");
+            assert_eq!(log.dropped, dropped, "window of {window}");
+        }
+        assert_eq!(dropped, 1 + (70_001 - SPAN_WINDOW) as u64);
+    }
 
     fn tiny_cfg() -> ServiceConfig {
         let mut cfg = ServiceConfig::smoke();

@@ -7,11 +7,11 @@
 //! the multihop bandit policy day by day so both engines soak. The
 //! [`faults::Invariants`] checker and the SLO ledger run throughout.
 //!
-//! Memory stays bounded by construction: spans live in `obs`'s bounded
-//! ring and are drained (and dropped) per epoch inside each day's run,
-//! per-day SLO ledgers are compacted into one running
-//! [`control::SloAccount`] via [`control::SloAccount::merge`], and only
-//! per-day scalar rows accumulate.
+//! Memory stays bounded by construction: each day's spans belong to
+//! that day's run and are dropped with its report, per-day SLO ledgers
+//! are compacted into one running [`control::SloAccount`] via
+//! [`control::SloAccount::merge`], and only per-day scalar rows
+//! accumulate.
 //!
 //! The run is checkpoint-resumable at day granularity (days end on
 //! epoch boundaries, so a resume is a split at an epoch boundary): the

@@ -8,10 +8,11 @@
 //! * a **flow tracer** ([`trace`](mod@trace)) — a bounded ring buffer of per-flow
 //!   records (segment sent/acked, retransmit, RTO backoff, cwnd change,
 //!   subflow switch);
-//! * a **causal span tracer** ([`span`](mod@span)) — parent/child event records
-//!   with run-stable ids covering the flow lifecycle (arrival →
-//!   admission → completion/kill → retry) plus fault and autoscaler
-//!   events, the substrate for fault attribution;
+//! * **causal span records** ([`span`](mod@span)) — the parent/child event
+//!   record type covering the flow lifecycle (arrival → admission →
+//!   completion/kill → retry) plus fault and autoscaler events, the
+//!   substrate for fault attribution; the run that emits spans keeps
+//!   them;
 //! * **phase timers and run manifests** ([`manifest`]) — scoped
 //!   wall-clock timers plus a per-run manifest (seed, experiment, sim
 //!   duration, metric snapshot) exported as TSV and JSON lines;
@@ -58,10 +59,7 @@ pub use metrics::{
     snapshot, CounterId, GaugeId, Histogram, HistogramId, SnapValue, Snapshot, CWND_EDGES,
     GOODPUT_EDGES, QUEUE_DEPTH_EDGES,
 };
-pub use span::{
-    drain_spans, reset_spans, set_span_recording, span, span_recording, SpanKind, SpanRecord,
-    SPAN_CAPACITY,
-};
+pub use span::{SpanKind, SpanRecord};
 pub use trace::{drain_trace, set_trace_filter, trace, trace_filter, TraceKind, TraceRecord};
 
 use std::cell::Cell;
@@ -96,7 +94,6 @@ pub fn enable() {
     metrics::reset();
     sync::reset();
     trace::reset();
-    span::reset_spans();
     manifest::reset_phases();
     metrics::register_catalogue();
 }
@@ -122,48 +119,39 @@ pub fn sync_enabled() -> bool {
     SYNC_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Everything one parallel work unit recorded: its metric shard, the
-/// unit's filtered trace records, and its causal spans. Plain owned
-/// data — safe to send from a worker thread back to the merging thread.
+/// Everything one parallel work unit recorded: its metric shard and the
+/// unit's filtered trace records. Plain owned data — safe to send from a
+/// worker thread back to the merging thread.
 #[derive(Debug)]
 pub struct UnitShard {
     metrics: metrics::Shard,
     trace: Vec<TraceRecord>,
     trace_dropped: u64,
-    spans: Vec<SpanRecord>,
-    span_dropped: u64,
-    span_ids: u64,
 }
 
 /// Runs `f` against a fresh, empty per-unit registry and trace ring
 /// and returns the unit's output together with everything it recorded.
 /// Metric collection inside the unit follows the process-wide
-/// [`sync_enabled`] flag — a span-only capture (recording on, metrics
-/// off) must not force every `add` in the unit onto the collecting
-/// path. The calling thread's own registry and ring are saved and
-/// restored around the unit; the trace filter stays in effect inside
-/// it. Fold the shard back with [`absorb_unit`], strictly in unit-index
-/// order.
+/// [`sync_enabled`] flag, so a unit on a fresh worker thread collects
+/// exactly when the caller does. The calling thread's own registry and
+/// ring are saved and restored around the unit; the trace filter stays
+/// in effect inside it. Fold the shard back with [`absorb_unit`],
+/// strictly in unit-index order.
 pub fn capture_unit<T>(f: impl FnOnce() -> T) -> (T, UnitShard) {
     let saved_metrics = metrics::begin_unit();
     let saved_trace = trace::begin_unit();
-    let saved_spans = span::begin_unit();
     let was_enabled = enabled();
     ENABLED.with(|e| e.set(sync_enabled()));
     let out = f();
     ENABLED.with(|e| e.set(was_enabled));
     let shard = metrics::end_unit(saved_metrics);
     let (records, trace_dropped) = trace::end_unit(saved_trace);
-    let (spans, span_dropped, span_ids) = span::end_unit(saved_spans);
     (
         out,
         UnitShard {
             metrics: shard,
             trace: records,
             trace_dropped,
-            spans,
-            span_dropped,
-            span_ids,
         },
     )
 }
@@ -176,7 +164,6 @@ pub fn capture_unit<T>(f: impl FnOnce() -> T) -> (T, UnitShard) {
 pub fn absorb_unit(shard: UnitShard) {
     metrics::merge_shard(shard.metrics);
     trace::replay(&shard.trace, shard.trace_dropped);
-    span::replay(&shard.spans, shard.span_dropped, shard.span_ids);
 }
 
 #[cfg(test)]
@@ -222,38 +209,6 @@ mod shard_tests {
         assert_eq!(serial_trace, merged_trace, "trace replay diverged");
         assert!(serial_snap.contains("t.shard.count\tcounter\t10"));
         assert!(serial_snap.contains("t.shard.gauge\tgauge\t3"));
-    }
-
-    #[test]
-    fn captured_spans_rebase_onto_the_absorbing_thread() {
-        let _guard = test_guard();
-        enable();
-        set_span_recording(true);
-        // The caller has already consumed two ids before the units run.
-        let root = span(1, 0, SpanKind::FaultInject, 0, 3, 2);
-        span(2, root, SpanKind::FlowKill, 5, 100, 2);
-        let shards: Vec<UnitShard> = (0..2)
-            .map(|u| {
-                capture_unit(|| {
-                    let arrive = span(10 * u, 0, SpanKind::FlowArrive, u, 0, 500);
-                    span(10 * u + 1, arrive, SpanKind::Admit, u, 1, 0);
-                })
-                .1
-            })
-            .collect();
-        for s in shards {
-            absorb_unit(s);
-        }
-        let (recs, dropped) = drain_spans();
-        set_span_recording(false);
-        disable();
-        assert_eq!(dropped, 0);
-        let ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6], "ids re-base contiguously");
-        // Each unit's admit still points at its own arrival after re-basing.
-        assert_eq!(recs[3].parent, recs[2].id);
-        assert_eq!(recs[5].parent, recs[4].id);
-        assert_eq!(recs[1].parent, recs[0].id);
     }
 
     #[test]

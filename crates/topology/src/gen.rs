@@ -8,7 +8,7 @@
 //! which is where the paper — citing Akella et al. (2003) and Kang &
 //! Gligor (2014) — locates real Internet bottlenecks.
 
-use simcore::{SimDuration, SimRng};
+use simcore::SimRng;
 
 use crate::congestion::CongestionProfile;
 use crate::geo::{cities_on, City, Continent, WORLD_CITIES};
@@ -500,13 +500,6 @@ pub fn nearest_backbone_router(net: &Network, asn: AsId, city: City) -> RouterId
             da.partial_cmp(&db).unwrap()
         })
         .unwrap_or_else(|| panic!("{asn} has no backbone routers"))
-}
-
-/// Convenience: expected one-way link delay between two cities (used by
-/// the cloud crate and tests).
-#[must_use]
-pub fn city_delay(a: City, b: City) -> SimDuration {
-    a.location.propagation_delay(b.location)
 }
 
 #[cfg(test)]

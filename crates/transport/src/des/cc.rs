@@ -106,12 +106,6 @@ impl CcState {
         self.cwnd
     }
 
-    /// Current window in bytes.
-    #[must_use]
-    pub fn cwnd_bytes(&self, mss: u32) -> u64 {
-        (self.cwnd * mss as f64) as u64
-    }
-
     /// `true` while in slow start.
     #[must_use]
     pub fn in_slow_start(&self) -> bool {

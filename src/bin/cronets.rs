@@ -246,7 +246,7 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
             print!("{report}");
             if report.span_dropped > 0 {
                 eprintln!(
-                    "warning: span ring overwrote {} records; attribution chains may be broken",
+                    "warning: {} spans dropped from overfull epoch windows; attribution chains may be broken",
                     report.span_dropped
                 );
             }
