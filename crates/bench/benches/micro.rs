@@ -197,9 +197,9 @@ fn bench_report_smoke() -> f64 {
     ns
 }
 
-/// One broker admission decision against a fresh cached probe (hash
-/// probe + filtered overlay argmax + counter bump): the per-flow cost
-/// of the control plane's hot path.
+/// One broker admission decision against a fresh cached probe (slot
+/// lookup by pair index + filtered overlay argmax + counter bump): the
+/// per-flow cost of the control plane's hot path.
 fn bench_broker_decision() -> f64 {
     let meas = |bps: f64| Measurement {
         throughput_bps: bps,
@@ -220,15 +220,11 @@ fn bench_broker_decision() -> f64 {
         min_accept_bps: 1e6,
         overlay_margin: 1.05,
     });
-    let (s, d) = (
-        topology::RouterId::from_raw(1),
-        topology::RouterId::from_raw(2),
-    );
-    broker.observe(s, d, SimTime::ZERO, eval);
+    broker.observe(0, SimTime::ZERO, eval);
     let mut i = 0u64;
     bench(100_000, 7, || {
         i += 1;
-        broker.decide(s, d, SimTime::ZERO, |n| (n as u64 + i).is_multiple_of(2))
+        broker.decide(0, SimTime::ZERO, |n| (n as u64 + i).is_multiple_of(2))
     })
 }
 

@@ -10,15 +10,17 @@
 //! has aged past [`BrokerConfig::max_probe_age`] the broker falls back to
 //! the direct path rather than steering onto an overlay it can no longer
 //! vouch for.
+//!
+//! Pairs are named by their index in the caller's pair catalogue, under
+//! both policies: the probe cache is one slot per pair, so a decision
+//! neither hashes nor allocates.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cronets::eval::PairProbe;
 use cronets::select::{achieved, best_choice_filtered, PathChoice};
 use paths::{ArmEval, BanditConfig, Candidate, Hops, PathBandit};
 use simcore::{SimDuration, SimRng, SimTime};
-use topology::RouterId;
 
 /// Which path-selection engine the broker runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,7 +167,8 @@ struct Multihop {
 #[derive(Debug)]
 pub struct Broker {
     cfg: BrokerConfig,
-    probes: HashMap<(RouterId, RouterId), Probe>,
+    /// The cached probe of each pair, by pair index.
+    probes: Vec<Option<Probe>>,
     stats: BrokerStats,
     multihop: Option<Multihop>,
 }
@@ -176,22 +179,24 @@ impl Broker {
     pub fn new(cfg: BrokerConfig) -> Broker {
         Broker {
             cfg,
-            probes: HashMap::new(),
+            probes: Vec::new(),
             stats: BrokerStats::default(),
             multihop: None,
         }
     }
 
-    /// Installs (or refreshes) the probe for `(src, dst)`, measured at
-    /// `at`.
-    pub fn observe(&mut self, src: RouterId, dst: RouterId, at: SimTime, eval: PairProbe) {
-        self.probes.insert((src, dst), Probe { at, eval });
+    /// Installs (or refreshes) the probe for `pair`, measured at `at`.
+    pub fn observe(&mut self, pair: usize, at: SimTime, eval: PairProbe) {
+        if pair >= self.probes.len() {
+            self.probes.resize_with(pair + 1, || None);
+        }
+        self.probes[pair] = Some(Probe { at, eval });
     }
 
     /// Number of pairs with a cached probe (fresh or stale).
     #[must_use]
     pub fn probed_pairs(&self) -> usize {
-        self.probes.len()
+        self.probes.iter().flatten().count()
     }
 
     /// Ages every cached probe by `by`, as if it had been measured that
@@ -200,27 +205,24 @@ impl Broker {
     /// flows onto overlays and the broker degrades to direct-path
     /// admission until the next refresh.
     pub fn age_probes(&mut self, by: SimDuration) {
-        for p in self.probes.values_mut() {
+        for p in self.probes.iter_mut().flatten() {
             p.at = SimTime::ZERO + p.at.saturating_duration_since(SimTime::ZERO + by);
         }
     }
 
-    /// Decides admission and path for a flow request at `now`.
+    /// Decides admission and path for a flow request on `pair` at `now`.
     /// `relay_free(node)` reports whether overlay node `node` currently
     /// has spare concurrent-flow capacity — relays at capacity are
     /// excluded from selection, not queued on.
     pub fn decide(
         &mut self,
-        src: RouterId,
-        dst: RouterId,
+        pair: usize,
         now: SimTime,
         relay_free: impl Fn(usize) -> bool,
     ) -> Decision {
-        let probe = self.probes.get(&(src, dst));
-        let fresh = probe
-            .map(|p| now.saturating_duration_since(p.at) <= self.cfg.max_probe_age)
-            .unwrap_or(false);
-        if !fresh {
+        let probe = self.probes.get(pair).and_then(Option::as_ref);
+        let fresh = probe.filter(|p| now.saturating_duration_since(p.at) <= self.cfg.max_probe_age);
+        let Some(Probe { eval, .. }) = fresh else {
             // Stale or missing probe: never steer onto an overlay blind.
             // The direct path is the Internet default and needs no state;
             // admit at the last-known direct rate (0 when never probed).
@@ -228,8 +230,7 @@ impl Broker {
             self.stats.admitted += 1;
             let bps = probe.map_or(0.0, |p| p.eval.direct.throughput_bps);
             return Decision::Direct { bps };
-        }
-        let eval = &self.probes[&(src, dst)].eval;
+        };
         let direct_bps = eval.direct.throughput_bps;
         let mut choice = best_choice_filtered(eval, relay_free);
         if let PathChoice::Overlay(_) = choice {
@@ -349,9 +350,7 @@ impl Broker {
         let direct_bps = p.bandit.mean(0);
         let best = p
             .bandit
-            .ranked()
-            .into_iter()
-            .find(|&a| a != 0 && p.cands[a].hops.iter().all(&relay_free));
+            .best_arm(|a| a != 0 && p.cands[a].hops.iter().all(&relay_free));
         if let Some(arm) = best {
             let bps = p.bandit.mean(arm);
             if bps >= self.cfg.overlay_margin * direct_bps && bps >= self.cfg.min_accept_bps {
@@ -431,16 +430,14 @@ mod tests {
         }
     }
 
-    fn pair() -> (RouterId, RouterId) {
-        (RouterId::from_raw(1), RouterId::from_raw(2))
-    }
+    /// The pair index every one-hop test decides on.
+    const PAIR: usize = 3;
 
     #[test]
     fn fresh_probe_steers_to_the_best_free_overlay() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
-        b.observe(s, d, SimTime::ZERO, eval(10e6, &[30e6, 50e6]));
-        let got = b.decide(s, d, SimTime::ZERO + SimDuration::from_secs(10), |_| true);
+        b.observe(PAIR, SimTime::ZERO, eval(10e6, &[30e6, 50e6]));
+        let got = b.decide(PAIR, SimTime::ZERO + SimDuration::from_secs(10), |_| true);
         assert_eq!(got, Decision::Overlay { node: 1, bps: 50e6 });
         assert_eq!(b.stats().overlay, 1);
         assert_eq!(b.stats().admitted, 1);
@@ -449,11 +446,10 @@ mod tests {
     #[test]
     fn busy_relays_are_excluded() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
-        b.observe(s, d, SimTime::ZERO, eval(10e6, &[30e6, 50e6]));
-        let got = b.decide(s, d, SimTime::ZERO, |n| n != 1);
+        b.observe(PAIR, SimTime::ZERO, eval(10e6, &[30e6, 50e6]));
+        let got = b.decide(PAIR, SimTime::ZERO, |n| n != 1);
         assert_eq!(got, Decision::Overlay { node: 0, bps: 30e6 });
-        let got = b.decide(s, d, SimTime::ZERO, |_| false);
+        let got = b.decide(PAIR, SimTime::ZERO, |_| false);
         assert_eq!(got, Decision::Direct { bps: 10e6 });
         assert_eq!(b.stats().direct, 1);
         assert_eq!(
@@ -466,17 +462,16 @@ mod tests {
     #[test]
     fn stale_probe_falls_back_to_direct() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
-        b.observe(s, d, SimTime::ZERO, eval(10e6, &[50e6]));
+        b.observe(PAIR, SimTime::ZERO, eval(10e6, &[50e6]));
         let fresh_at = SimTime::ZERO + SimDuration::from_secs(100);
         assert_eq!(
-            b.decide(s, d, fresh_at, |_| true),
+            b.decide(PAIR, fresh_at, |_| true),
             Decision::Overlay { node: 0, bps: 50e6 },
             "age == max_probe_age is still fresh"
         );
         let stale_at = SimTime::ZERO + SimDuration::from_secs(101);
         assert_eq!(
-            b.decide(s, d, stale_at, |_| true),
+            b.decide(PAIR, stale_at, |_| true),
             Decision::Direct { bps: 10e6 }
         );
         assert_eq!(b.stats().stale_fallback, 1);
@@ -486,28 +481,34 @@ mod tests {
     #[test]
     fn unprobed_pair_admits_direct_at_zero_rate() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
         assert_eq!(
-            b.decide(s, d, SimTime::ZERO, |_| true),
+            b.decide(PAIR, SimTime::ZERO, |_| true),
             Decision::Direct { bps: 0.0 }
         );
         assert_eq!(b.stats().stale_fallback, 1);
         assert_eq!(b.probed_pairs(), 0);
+        // Probing one pair leaves the pairs below it unprobed.
+        b.observe(PAIR, SimTime::ZERO, eval(10e6, &[50e6]));
+        assert_eq!(b.probed_pairs(), 1);
+        assert_eq!(
+            b.decide(PAIR - 1, SimTime::ZERO, |_| true),
+            Decision::Direct { bps: 0.0 }
+        );
+        assert_eq!(b.stats().stale_fallback, 2);
     }
 
     #[test]
     fn refreshing_a_probe_restores_overlay_service() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
-        b.observe(s, d, SimTime::ZERO, eval(10e6, &[50e6]));
+        b.observe(PAIR, SimTime::ZERO, eval(10e6, &[50e6]));
         let later = SimTime::ZERO + SimDuration::from_secs(500);
         assert_eq!(
-            b.decide(s, d, later, |_| true),
+            b.decide(PAIR, later, |_| true),
             Decision::Direct { bps: 10e6 }
         );
-        b.observe(s, d, later, eval(12e6, &[60e6]));
+        b.observe(PAIR, later, eval(12e6, &[60e6]));
         assert_eq!(
-            b.decide(s, d, later, |_| true),
+            b.decide(PAIR, later, |_| true),
             Decision::Overlay { node: 0, bps: 60e6 }
         );
     }
@@ -515,26 +516,25 @@ mod tests {
     #[test]
     fn poisoned_cache_degrades_to_direct_until_refreshed() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
         let t0 = SimTime::ZERO + SimDuration::from_secs(1000);
-        b.observe(s, d, t0, eval(10e6, &[50e6]));
+        b.observe(PAIR, t0, eval(10e6, &[50e6]));
         let now = t0 + SimDuration::from_secs(10);
         assert_eq!(
-            b.decide(s, d, now, |_| true),
+            b.decide(PAIR, now, |_| true),
             Decision::Overlay { node: 0, bps: 50e6 }
         );
         // Poison: the probe now reads as measured 200 s ago (> 100 s
         // staleness bound) and the broker stops vouching for overlays.
         b.age_probes(SimDuration::from_secs(200));
         assert_eq!(
-            b.decide(s, d, now, |_| true),
+            b.decide(PAIR, now, |_| true),
             Decision::Direct { bps: 10e6 }
         );
         assert_eq!(b.stats().stale_fallback, 1);
         // A refresh heals the cache.
-        b.observe(s, d, now, eval(10e6, &[50e6]));
+        b.observe(PAIR, now, eval(10e6, &[50e6]));
         assert_eq!(
-            b.decide(s, d, now, |_| true),
+            b.decide(PAIR, now, |_| true),
             Decision::Overlay { node: 0, bps: 50e6 }
         );
     }
@@ -542,11 +542,10 @@ mod tests {
     #[test]
     fn marginal_overlay_wins_demote_to_direct() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
         // Overlay beats direct by 2% < 5% margin.
-        b.observe(s, d, SimTime::ZERO, eval(100e6, &[102e6]));
+        b.observe(PAIR, SimTime::ZERO, eval(100e6, &[102e6]));
         assert_eq!(
-            b.decide(s, d, SimTime::ZERO, |_| true),
+            b.decide(PAIR, SimTime::ZERO, |_| true),
             Decision::Direct { bps: 100e6 }
         );
         assert_eq!(b.stats().direct, 1);
@@ -556,9 +555,8 @@ mod tests {
     #[test]
     fn floors_deny_admission() {
         let mut b = Broker::new(cfg());
-        let (s, d) = pair();
-        b.observe(s, d, SimTime::ZERO, eval(0.5e6, &[0.9e6]));
-        assert_eq!(b.decide(s, d, SimTime::ZERO, |_| true), Decision::Deny);
+        b.observe(PAIR, SimTime::ZERO, eval(0.5e6, &[0.9e6]));
+        assert_eq!(b.decide(PAIR, SimTime::ZERO, |_| true), Decision::Deny);
         assert_eq!(b.stats().denied, 1);
         assert_eq!(b.stats().admitted, 0);
     }

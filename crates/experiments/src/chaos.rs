@@ -12,7 +12,8 @@
 //!
 //! The run is the service's own event loop ([`crate::service`]) with the
 //! schedule as an extra input: every fault event rides the same
-//! [`simcore::EventQueue`] as flow arrivals and completions, so the
+//! [`simcore::EventQueue`] as flow completions and retries, and flow
+//! arrivals merge with that queue under its tie rule, so the
 //! interleaving — and therefore the whole run — is a pure function of
 //! `(config, seed)` at any `--threads N`. Under an empty schedule the
 //! run reproduces plain `service` exactly.
@@ -578,6 +579,43 @@ mod tests {
         let b = chaos(&multihop_cfg(), 7);
         assert_ne!(a.to_tsv(), b.to_tsv(), "policy changed nothing");
         assert_eq!(a.broker.probe_spent, 0, "onehop spends no probe budget");
+    }
+
+    /// A fault timed exactly at an arrival was queued before that
+    /// arrival's epoch began, so it fires first: equal timestamps keep
+    /// the order in which events were queued.
+    #[test]
+    fn a_fault_tied_with_an_arrival_fires_first() {
+        let cfg = ChaosConfig::micro();
+        let seed = 7;
+        let arrivals = cfg.service.workload.epoch_arrivals(seed, 2);
+        let req = arrivals[arrivals.len() / 2];
+        let poison = faults::FaultEvent {
+            at: req.at,
+            kind: FaultKind::CachePoison {
+                age: cfg.service.broker.max_probe_age,
+            },
+        };
+        let schedule = FaultSchedule::from_events(vec![poison], cfg.faults.mttr_cap)
+            .expect("a lone poisoning is well formed");
+        let r = chaos_with_schedule(&cfg, seed, &schedule);
+        assert_eq!(r.span_dropped, 0);
+        let at = |kind: SpanKind, subject: u64| {
+            r.spans
+                .iter()
+                .position(|s| s.kind == kind && s.subject == subject)
+                .unwrap_or_else(|| panic!("no {kind:?} span for {subject}"))
+        };
+        let (fault, arrive) = (
+            at(SpanKind::FaultInject, 0),
+            at(SpanKind::FlowArrive, req.id),
+        );
+        assert_eq!(r.spans[fault].t_ns, req.at.as_nanos());
+        assert_eq!(r.spans[arrive].t_ns, req.at.as_nanos());
+        assert!(
+            fault < arrive,
+            "the arrival overtook a fault queued before its epoch"
+        );
     }
 
     #[test]

@@ -537,11 +537,7 @@ fn run_schedule(
                     bd.observe(arm, t[arm].bps);
                 }
             }
-            let chosen = bd
-                .ranked()
-                .into_iter()
-                .find(|&arm| feasible(p, arm))
-                .unwrap_or(0);
+            let chosen = bd.best_arm(|arm| feasible(p, arm)).unwrap_or(0);
             bd.observe(chosen, t[chosen].bps);
             b_sum += t[chosen].bps;
 

@@ -33,6 +33,15 @@
 //!   table, one work unit per pair, merged in pair order;
 //! * the event loop itself is serial, and [`simcore::EventQueue`] breaks
 //!   time ties FIFO, so the decision sequence is schedule-independent;
+//! * an epoch's arrivals never enter the queue. A cursor over them (they
+//!   are sorted by `(at, id)`) merges with the queue through
+//!   [`simcore::EventQueue::pop_merged_before`], under a mark taken after
+//!   the arrivals are generated and before the inbox is delivered. On
+//!   equal timestamps an arrival follows the events queued before the
+//!   mark (fault events, earlier completions and retries) and precedes
+//!   those queued after it (the inbox's remote legs, this epoch's
+//!   completions and retries): the order the queue gave when every
+//!   arrival was scheduled at the top of its epoch;
 //! * telemetry flows through `obs` unit shards absorbed in unit order.
 
 use std::collections::BTreeMap;
@@ -52,7 +61,7 @@ use paths::{
 };
 use routing::{NodeAddr, RouteCache};
 use simcore::rng::mix64;
-use simcore::{EventHandle, EventQueue, SimDuration, SimTime};
+use simcore::{EventHandle, EventQueue, Merged, SimDuration, SimTime};
 use topology::{LinkId, Network, RouterId};
 use transport::model::{tcp_throughput, PathQuality};
 
@@ -413,7 +422,9 @@ fn claim_slots(fleet: &mut Fleet, hops: &Hops) -> SlotHops {
 
 /// A flow-level or fault discrete event.
 enum Ev {
-    /// Arrival `idx` of `epoch` reaches the broker.
+    /// Arrival `idx` of `epoch` reaches the broker. Never queued: an
+    /// epoch's arrivals are delivered from a cursor merged with the
+    /// queue (`ServiceLoop::run_epoch`) and dispatched as this event.
     Arrive { epoch: u32, idx: u32 },
     /// An admitted flow (a segment of it, after a kill) finishes.
     Complete {
@@ -1123,23 +1134,18 @@ impl ServiceLoop {
                 }
             }
         } else if e.is_multiple_of(self.cfg.probe_every) && probing {
-            for (pi, &(s, c)) in self.pairs.iter().enumerate() {
-                self.broker
-                    .observe(s, c, epoch_start, self.truth[pi].clone());
+            for (pi, truth) in self.truth.iter().enumerate() {
+                self.broker.observe(pi, epoch_start, truth.clone());
             }
         }
         let arrivals = self.cfg.workload.epoch_arrivals(self.seed, e);
         self.total_arrivals += arrivals.len() as u64;
-        for (i, req) in arrivals.iter().enumerate() {
-            self.queue.schedule(
-                req.at,
-                Ev::Arrive {
-                    epoch: e,
-                    idx: i as u32,
-                },
-            );
-        }
         self.arrivals_by_epoch[e as usize] = arrivals;
+        // The arrivals stay out of the queue. They merge with it from a
+        // cursor as if scheduled here, in their (at, id) order: on equal
+        // timestamps they follow what is already queued and precede the
+        // inbox's events and everything this epoch's handlers schedule.
+        let mark = self.queue.mark();
 
         let b0 = self.broker.stats();
         let (done0, viol0) = (self.slo.completed(), self.slo.violations());
@@ -1149,9 +1155,24 @@ impl ServiceLoop {
         for msg in inbox {
             self.deliver(msg, epoch_start, true);
         }
-        while let Some((now, ev)) = self.queue.pop_before(epoch_end) {
-            self.handle(now, ev);
+        let mut next = 0;
+        loop {
+            let at = self.arrivals_by_epoch[e as usize].get(next).map(|r| r.at);
+            match self.queue.pop_merged_before(epoch_end, at, mark) {
+                Some(Merged::Queued(now, ev)) => self.handle(now, ev),
+                Some(Merged::Batch(now)) => {
+                    let idx = next as u32;
+                    next += 1;
+                    self.handle(now, Ev::Arrive { epoch: e, idx });
+                }
+                None => break,
+            }
         }
+        assert_eq!(
+            next,
+            self.arrivals_by_epoch[e as usize].len(),
+            "arrivals timed past their epoch"
+        );
 
         self.fleet
             .accrue(epoch_end.saturating_duration_since(self.billed_to));
@@ -1221,8 +1242,8 @@ impl ServiceLoop {
         } else {
             // Only a fault run's post-horizon retries price on the last
             // epoch's truth; a plain run frees it between epochs. Its
-            // arrivals go too: every `Arrive` of epoch `e` is timed
-            // before `epoch_end`, so all of them have popped.
+            // arrivals go too: every one is timed before `epoch_end`, so
+            // the merge has delivered all of them.
             self.truth.clear();
             self.ptruth.clear();
             self.arrivals_by_epoch[e as usize] = Vec::new();
@@ -1527,9 +1548,8 @@ impl ServiceLoop {
                 direct_rtt: direct.rtt,
             });
         }
-        let (s, c) = self.pairs[pi];
         let tr = &self.truth[pi];
-        let (hops, bps, rtt) = match self.broker.decide(s, c, now, |n| fleet.group_free(n)) {
+        let (hops, bps, rtt) = match self.broker.decide(pi, now, |n| fleet.group_free(n)) {
             Decision::Deny => return None,
             Decision::Chain { .. } => unreachable!("one-hop broker never emits chains"),
             Decision::Direct { .. } => (Hops::direct(), tr.direct.throughput_bps, tr.direct.rtt),

@@ -114,21 +114,26 @@ impl PathBandit {
         self.means.iter().fold(1.0, |a, &b| a.max(b))
     }
 
-    /// Arm indices in selection preference order: best smoothed mean
-    /// first, ties to the lower index. Selection is deliberately greedy —
-    /// exploration is paid for by the probe budget (and by the carried
-    /// flow's free feedback), not by steering real traffic onto
+    /// The arm traffic should take among those `usable` admits: the
+    /// best smoothed mean, ties to the lower index; `None` when no arm
+    /// is usable. One pass, no allocation. Selection is deliberately
+    /// greedy — exploration is paid for by the probe budget (and by the
+    /// carried flow's free feedback), not by steering real traffic onto
     /// uncertain arms whose [`PathBandit::score`] is inflated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any arm's mean is NaN, usable or not.
     #[must_use]
-    pub fn ranked(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n_arms()).collect();
-        order.sort_by(|&a, &b| {
-            self.means[b]
-                .partial_cmp(&self.means[a])
-                .expect("bandit means are finite")
-                .then(a.cmp(&b))
-        });
-        order
+    pub fn best_arm(&self, usable: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (a, &m) in self.means.iter().enumerate() {
+            assert!(!m.is_nan(), "bandit means are finite");
+            if best.is_none_or(|(_, bm)| m > bm) && usable(a) {
+                best = Some((a, m));
+            }
+        }
+        best.map(|(a, _)| a)
     }
 
     /// Allocates this epoch's probe budget, UCB-style: arms never
@@ -190,7 +195,7 @@ mod tests {
                 b.observe(arm, bps);
             }
         }
-        assert_eq!(b.ranked()[0], 1);
+        assert_eq!(b.best_arm(|_| true), Some(1));
         assert!((b.mean(1) - 40e6).abs() < 1.0);
     }
 
@@ -202,13 +207,13 @@ mod tests {
             b.observe(1, 50e6);
             b.observe(2, 30e6);
         }
-        assert_eq!(b.ranked()[0], 1);
+        assert_eq!(b.best_arm(|_| true), Some(1));
         // Arm 1's relay crashes: observed goodput collapses. The EWMA
         // must drop it below arm 2 within a handful of observations.
         let mut switched = None;
         for i in 0..10 {
             b.observe(1, 0.0);
-            if b.ranked()[0] == 2 {
+            if b.best_arm(|_| true) == Some(2) {
                 switched = Some(i);
                 break;
             }
@@ -270,7 +275,66 @@ mod tests {
             assert_eq!(a.probe_plan(2), b.probe_plan(2));
             a.observe(round % 5, round as f64);
             b.observe(round % 5, round as f64);
-            assert_eq!(a.ranked(), b.ranked());
+            for arm in 0..5 {
+                assert_eq!(a.mean(arm).to_bits(), b.mean(arm).to_bits());
+            }
+            assert_eq!(a.best_arm(|_| true), b.best_arm(|_| true));
         }
+    }
+
+    /// The selection `best_arm` replaced: rank every arm by mean,
+    /// descending, ties to the lower index, then take the first usable.
+    fn ranked_find(b: &PathBandit, usable: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut order: Vec<usize> = (0..b.n_arms()).collect();
+        order.sort_by(|&x, &y| {
+            b.mean(y)
+                .partial_cmp(&b.mean(x))
+                .expect("bandit means are finite")
+                .then(x.cmp(&y))
+        });
+        order.into_iter().find(|&a| usable(a))
+    }
+
+    /// `best_arm` picks what the sort-and-find did, on bandits whose
+    /// means tie exactly (observations drawn from three rates, zero
+    /// included) under random usability masks, with and without arm 0.
+    #[test]
+    fn best_arm_matches_the_ranked_search() {
+        let mut rng = SimRng::seed_from(0xA2_B5);
+        let (mut some, mut none) = (0, 0);
+        for _ in 0..2_000 {
+            let n = 1 + rng.index(8);
+            let mut b = PathBandit::new(BanditConfig::service(), n, rng.fork(1));
+            for _ in 0..rng.index(3 * n) {
+                let bps = [0.0, 10e6, 25e6][rng.index(3)];
+                b.observe(rng.index(n), bps);
+            }
+            let mask = rng.next_u64();
+            let with_direct = rng.index(2) == 0;
+            let usable = |a: usize| (with_direct || a != 0) && (mask >> a) & 1 == 1;
+            let want = ranked_find(&b, usable);
+            assert_eq!(
+                b.best_arm(usable),
+                want,
+                "means {:?}, mask {mask:b}",
+                b.means
+            );
+            if want.is_some() {
+                some += 1;
+            } else {
+                none += 1;
+            }
+        }
+        assert!(some > 500 && none > 100, "{some} / {none}");
+    }
+
+    #[test]
+    #[should_panic(expected = "bandit means are finite")]
+    fn best_arm_rejects_a_nan_mean() {
+        let mut b = bandit(3);
+        b.observe(0, 10e6);
+        b.observe(2, f64::NAN);
+        // Arm 2 is not usable, but its mean is still checked.
+        let _ = b.best_arm(|a| a != 2);
     }
 }

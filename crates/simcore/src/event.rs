@@ -19,6 +19,23 @@ pub struct EventHandle {
     seq: u64,
 }
 
+/// A position in a queue's scheduling order, taken by
+/// [`EventQueue::mark`]: events scheduled before it sort before a batch
+/// merged at it on equal timestamps, events scheduled after it sort
+/// after.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark(u64);
+
+/// One event delivered by [`EventQueue::pop_merged_before`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merged<E> {
+    /// The heap's earliest event, removed from the queue.
+    Queued(SimTime, E),
+    /// The batch's next event, due at this time; the caller moves its
+    /// cursor past it.
+    Batch(SimTime),
+}
+
 /// Heap entry: the ordering key plus the index of the payload slot.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
@@ -53,6 +70,20 @@ const ARITY: usize = 4;
 /// Cancellation is *lazy*: [`EventQueue::cancel`] empties the payload slot
 /// and the heap entry is discarded when it reaches the head, giving
 /// O(log n) amortized cost for all operations.
+///
+/// # Merging a batch held outside the heap
+///
+/// A time-sorted batch the caller holds (a service epoch's arrivals) can
+/// be delivered without scheduling it: take a [`Mark`] with
+/// [`EventQueue::mark`], then draw events through
+/// [`EventQueue::pop_merged_before`], which takes whichever comes first,
+/// the heap's head or the batch's next event. The merge pops exactly the
+/// sequence the queue would pop had the whole batch been scheduled, in
+/// its order, at the mark. That is the FIFO rule extended to the batch:
+/// on equal timestamps a batch event loses to the events queued before
+/// the mark and beats the events queued after it, including those its
+/// own handlers schedule. The heap then holds only what is scheduled,
+/// not the batch.
 ///
 /// # Example
 ///
@@ -174,28 +205,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest pending event strictly before
-    /// `t`, or `None` if the queue is empty or its head is at or past
-    /// `t`. The idiom behind every epoch-bounded event loop:
-    ///
-    /// ```
-    /// use simcore::{EventQueue, SimTime, SimDuration};
-    /// let mut q = EventQueue::new();
-    /// q.schedule(SimTime::ZERO + SimDuration::from_secs(1), "in-epoch");
-    /// q.schedule(SimTime::ZERO + SimDuration::from_secs(9), "later");
-    /// let end = SimTime::ZERO + SimDuration::from_secs(5);
-    /// assert_eq!(q.pop_before(end).map(|(_, e)| e), Some("in-epoch"));
-    /// assert_eq!(q.pop_before(end), None, "the epoch boundary holds");
-    /// assert_eq!(q.len(), 1, "later events stay queued");
-    /// ```
-    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? < t {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Drains every pending event sharing the earliest timestamp into
     /// `batch` (cleared first), preserving schedule order within the
     /// tick, and returns that timestamp. Events scheduled *while the
@@ -235,24 +244,88 @@ impl<E> EventQueue<E> {
         Some(t)
     }
 
-    /// `pop_batch` bounded by an epoch boundary: drains the earliest
-    /// tick only if it lies strictly before `t`. Returns the tick's
-    /// timestamp, or `None` (leaving `batch` cleared) when the queue is
-    /// empty or its head is at or past `t`.
-    pub fn pop_batch_before(&mut self, t: SimTime, batch: &mut Vec<E>) -> Option<SimTime> {
-        if self.peek_time()? < t {
-            self.pop_batch(batch)
-        } else {
-            batch.clear();
-            None
+    /// The queue's current position in scheduling order, to merge a
+    /// batch at. Take it before scheduling anything that must lose ties
+    /// to the batch.
+    #[must_use]
+    pub fn mark(&self) -> Mark {
+        Mark(self.next_seq)
+    }
+
+    /// Removes and returns the earliest event strictly before `end` from
+    /// the merge of the heap with a time-sorted batch whose next event is
+    /// due at `batch` (`None` once the batch is exhausted). The merge
+    /// pops what the heap would pop had the batch been scheduled at
+    /// `mark` (see the type docs): a batch event goes first iff it is
+    /// earlier than the head, or equally early and the head was queued
+    /// at or after `mark`. Delivering a batch event advances
+    /// [`EventQueue::now`] to its time. Returns `None`, consuming
+    /// nothing, when both are at or past `end`.
+    ///
+    /// ```
+    /// use simcore::{EventQueue, Merged, SimTime};
+    /// let t = |ns| SimTime::from_nanos(ns);
+    /// let mut q = EventQueue::new();
+    /// q.schedule(t(5), "queued before the mark");
+    /// let mark = q.mark();
+    /// q.schedule(t(5), "queued after the mark");
+    /// let batch = [t(5)];
+    /// let mut next = 0;
+    /// let mut order = Vec::new();
+    /// while let Some(m) = q.pop_merged_before(t(9), batch.get(next).copied(), mark) {
+    ///     match m {
+    ///         Merged::Queued(_, e) => order.push(e),
+    ///         Merged::Batch(_) => {
+    ///             order.push("batch");
+    ///             next += 1;
+    ///         }
+    ///     }
+    /// }
+    /// assert_eq!(order, ["queued before the mark", "batch", "queued after the mark"]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch event is earlier than [`EventQueue::now`]: an
+    /// unsorted batch, or one merged after the clock passed it.
+    pub fn pop_merged_before(
+        &mut self,
+        end: SimTime,
+        batch: Option<SimTime>,
+        mark: Mark,
+    ) -> Option<Merged<E>> {
+        let head = self.live_head();
+        if let Some(t) = batch {
+            let first = head.is_none_or(|h| t < h.time || (t == h.time && h.seq >= mark.0));
+            if first {
+                if t >= end {
+                    return None;
+                }
+                assert!(
+                    t >= self.now,
+                    "batch event at {t} before current time {}",
+                    self.now
+                );
+                self.now = t;
+                return Some(Merged::Batch(t));
+            }
         }
+        if head?.time >= end {
+            return None;
+        }
+        self.pop().map(|(t, e)| Merged::Queued(t, e))
     }
 
     /// The time of the earliest pending event, if any, without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.live_head().map(|h| h.time)
+    }
+
+    /// The earliest live heap entry, after discarding cancelled heads.
+    fn live_head(&mut self) -> Option<HeapEntry> {
         while let Some(&head) = self.heap.first() {
             if self.slots[head.slot as usize].payload.is_some() {
-                return Some(head.time);
+                return Some(head);
             }
             self.remove_head();
             self.free.push(head.slot);
@@ -514,20 +587,148 @@ mod tests {
         assert_eq!(q.pop_batch(&mut batch), None);
     }
 
+    /// One delivered event of the merge differential: a scheduled event
+    /// by id, or batch event `i` of epoch `e`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Item {
+        Queued(u32),
+        Batch(u32, usize),
+    }
+
+    /// Two queues fed the same schedules and cancellations: the
+    /// reference gets each batch scheduled into its heap at the mark, the
+    /// merged one gets the batch through `pop_merged_before`.
+    struct Twin {
+        reference: EventQueue<Item>,
+        merged: EventQueue<u32>,
+        handles: Vec<(EventHandle, EventHandle)>,
+    }
+
+    impl Twin {
+        fn schedule(&mut self, t: u64) {
+            let id = self.handles.len() as u32;
+            let t = SimTime::from_nanos(t);
+            let r = self.reference.schedule(t, Item::Queued(id));
+            let m = self.merged.schedule(t, id);
+            self.handles.push((r, m));
+        }
+
+        /// Cancels one of the last few scheduled events: those sit near
+        /// the head, so their cancellation leaves dead heads.
+        fn cancel_recent(&mut self, rng: &mut crate::SimRng) {
+            if self.handles.is_empty() {
+                return;
+            }
+            let back = rng.index(self.handles.len().min(6));
+            let (r, m) = self.handles[self.handles.len() - 1 - back];
+            assert_eq!(self.reference.cancel(r), self.merged.cancel(m));
+        }
+    }
+
+    /// The merged pop delivers exactly the `(time, payload)` sequence of
+    /// the heap with the batch scheduled at the mark, on tie-heavy
+    /// inputs: a handful of distinct nanoseconds per epoch, events queued
+    /// before the mark, batches of equal timestamps, events queued after
+    /// the mark before the first pop (a sharded inbox), handlers that
+    /// schedule at `now` and `now + 1`, and cancelled heads.
     #[test]
-    fn batch_before_respects_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(5), 'a');
-        q.schedule(SimTime::from_nanos(5), 'b');
-        q.schedule(SimTime::from_nanos(9), 'c');
-        let mut batch = vec!['x'];
-        assert_eq!(
-            q.pop_batch_before(SimTime::from_nanos(9), &mut batch),
-            Some(SimTime::from_nanos(5))
+    fn merged_batch_pops_as_if_scheduled_at_the_mark() {
+        const WIDTH: u64 = 6;
+        let (mut batch_first, mut head_first) = (0, 0);
+        for seed in 0..300 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let mut tw = Twin {
+                reference: EventQueue::new(),
+                merged: EventQueue::new(),
+                handles: Vec::new(),
+            };
+            for epoch in 0..6u32 {
+                let start = u64::from(epoch) * WIDTH;
+                let end = SimTime::from_nanos(start + WIDTH);
+                for _ in 0..rng.index(5) {
+                    tw.schedule(start + rng.index(2 * WIDTH as usize) as u64);
+                }
+                if rng.index(2) == 0 {
+                    tw.cancel_recent(&mut rng);
+                }
+                let mut batch: Vec<u64> = (0..rng.index(10))
+                    .map(|_| start + rng.index(WIDTH as usize) as u64)
+                    .collect();
+                batch.sort_unstable();
+                if rng.index(4) == 0 {
+                    let t = batch.first().copied().unwrap_or(start);
+                    batch.fill(t);
+                }
+                let mark = tw.merged.mark();
+                for (i, &t) in batch.iter().enumerate() {
+                    tw.reference
+                        .schedule(SimTime::from_nanos(t), Item::Batch(epoch, i));
+                }
+                for _ in 0..rng.index(3) {
+                    tw.schedule(start + rng.index(WIDTH as usize + 2) as u64);
+                }
+                let mut next = 0;
+                let mut last: Option<(SimTime, Item)> = None;
+                loop {
+                    let want = match tw.reference.peek_time() {
+                        Some(t) if t < end => tw.reference.pop(),
+                        _ => None,
+                    };
+                    let at = batch.get(next).map(|&t| SimTime::from_nanos(t));
+                    let got = match tw.merged.pop_merged_before(end, at, mark) {
+                        Some(Merged::Queued(t, id)) => Some((t, Item::Queued(id))),
+                        Some(Merged::Batch(t)) => {
+                            next += 1;
+                            Some((t, Item::Batch(epoch, next - 1)))
+                        }
+                        None => None,
+                    };
+                    assert_eq!(got, want, "seed {seed} epoch {epoch}");
+                    let Some((now, item)) = got else { break };
+                    assert_eq!(tw.merged.now(), now);
+                    assert_eq!(tw.merged.len(), tw.reference.len() - (batch.len() - next));
+                    // Count the ties the merge resolved, both ways.
+                    match (last, item) {
+                        (Some((t, Item::Batch(..))), Item::Queued(_)) if t == now => {
+                            batch_first += 1;
+                        }
+                        (Some((t, Item::Queued(_))), Item::Batch(..)) if t == now => {
+                            head_first += 1;
+                        }
+                        _ => {}
+                    }
+                    last = Some((now, item));
+                    match rng.index(6) {
+                        0 => tw.schedule(now.as_nanos()),
+                        1 => tw.schedule(now.as_nanos() + 1),
+                        2 => tw.cancel_recent(&mut rng),
+                        _ => {}
+                    }
+                }
+                assert_eq!(next, batch.len(), "seed {seed} epoch {epoch}");
+            }
+            loop {
+                let want = tw.reference.pop();
+                let got = tw.merged.pop().map(|(t, id)| (t, Item::Queued(id)));
+                assert_eq!(got, want, "seed {seed} tail");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+        assert!(
+            batch_first > 100 && head_first > 100,
+            "{batch_first} / {head_first}"
         );
-        assert_eq!(batch, vec!['a', 'b']);
-        assert_eq!(q.pop_batch_before(SimTime::from_nanos(9), &mut batch), None);
-        assert!(batch.is_empty(), "miss clears the batch buffer");
-        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn an_unsorted_batch_panics() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mark = q.mark();
+        let end = SimTime::from_nanos(100);
+        q.pop_merged_before(end, Some(SimTime::from_nanos(7)), mark);
+        q.pop_merged_before(end, Some(SimTime::from_nanos(3)), mark);
     }
 }

@@ -37,7 +37,7 @@ pub mod rng;
 mod time;
 mod token;
 
-pub use event::{EventHandle, EventQueue};
+pub use event::{EventHandle, EventQueue, Mark, Merged};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use token::TokenBucket;

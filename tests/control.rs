@@ -11,7 +11,6 @@ use control::{
 };
 use cronets::eval::{Measurement, OverlayProbe, PairProbe};
 use simcore::{SimDuration, SimTime};
-use topology::RouterId;
 
 fn probe(direct_bps: f64, overlay_bps: f64) -> PairProbe {
     let meas = |bps: f64| Measurement {
@@ -35,22 +34,22 @@ fn broker_serves_overlay_only_while_the_probe_is_fresh() {
         min_accept_bps: 1e6,
         overlay_margin: 1.05,
     });
-    let (src, dst) = (RouterId::from_raw(7), RouterId::from_raw(8));
+    let pair = 7;
     let t0 = SimTime::ZERO + SimDuration::from_secs(1000);
-    broker.observe(src, dst, t0, probe(20e6, 80e6));
+    broker.observe(pair, t0, probe(20e6, 80e6));
 
     // Within the staleness bound: the overlay win is honoured.
-    let fresh = broker.decide(src, dst, t0 + SimDuration::from_secs(60), |_| true);
+    let fresh = broker.decide(pair, t0 + SimDuration::from_secs(60), |_| true);
     assert_eq!(fresh, Decision::Overlay { node: 0, bps: 80e6 });
 
     // One tick past the bound: fall back to direct, never steer blind.
-    let stale = broker.decide(src, dst, t0 + SimDuration::from_secs(61), |_| true);
+    let stale = broker.decide(pair, t0 + SimDuration::from_secs(61), |_| true);
     assert_eq!(stale, Decision::Direct { bps: 20e6 });
 
     // A refreshed probe restores overlay service at the new measurement.
     let t1 = t0 + SimDuration::from_secs(120);
-    broker.observe(src, dst, t1, probe(20e6, 90e6));
-    let again = broker.decide(src, dst, t1, |_| true);
+    broker.observe(pair, t1, probe(20e6, 90e6));
+    let again = broker.decide(pair, t1, |_| true);
     assert_eq!(again, Decision::Overlay { node: 0, bps: 90e6 });
 
     let s = broker.stats();
@@ -212,26 +211,22 @@ fn crashed_relay_is_unroutable_even_before_its_probe_goes_stale() {
         scale_up_util: 0.75,
         scale_down_util: 0.30,
     });
-    let (src, dst) = (RouterId::from_raw(7), RouterId::from_raw(8));
+    let pair = 7;
     let t0 = SimTime::ZERO + SimDuration::from_secs(1000);
-    broker.observe(src, dst, t0, probe(20e6, 80e6));
+    broker.observe(pair, t0, probe(20e6, 80e6));
     assert_eq!(
-        broker.decide(src, dst, t0, |n| fleet.is_free(n)),
+        broker.decide(pair, t0, |n| fleet.is_free(n)),
         Decision::Overlay { node: 0, bps: 80e6 },
         "healthy relay with a fresh probe serves overlay"
     );
 
     // Crash: the probe is still fresh, but the fleet filter wins.
     fleet.crash(0);
-    let fresh_but_dead = broker.decide(src, dst, t0 + SimDuration::from_secs(10), |n| {
-        fleet.is_free(n)
-    });
+    let fresh_but_dead = broker.decide(pair, t0 + SimDuration::from_secs(10), |n| fleet.is_free(n));
     assert_eq!(fresh_but_dead, Decision::Direct { bps: 20e6 });
 
     // Once the probe is also stale, the fallback is charged as stale.
-    let stale = broker.decide(src, dst, t0 + SimDuration::from_secs(61), |n| {
-        fleet.is_free(n)
-    });
+    let stale = broker.decide(pair, t0 + SimDuration::from_secs(61), |n| fleet.is_free(n));
     assert_eq!(stale, Decision::Direct { bps: 20e6 });
     assert_eq!(broker.stats().stale_fallback, 1);
 
@@ -240,9 +235,9 @@ fn crashed_relay_is_unroutable_even_before_its_probe_goes_stale() {
     fleet.rebalance(SimDuration::from_secs(3600));
     assert_eq!(fleet.relay_state(0), RelayState::Active);
     let t1 = t0 + SimDuration::from_secs(120);
-    broker.observe(src, dst, t1, probe(20e6, 90e6));
+    broker.observe(pair, t1, probe(20e6, 90e6));
     assert_eq!(
-        broker.decide(src, dst, t1, |n| fleet.is_free(n)),
+        broker.decide(pair, t1, |n| fleet.is_free(n)),
         Decision::Overlay { node: 0, bps: 90e6 }
     );
 }
