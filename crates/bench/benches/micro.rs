@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the substrates: event queue, packet simulation
 //! rate, policy routing, C4.5 training, the telemetry hot path, and the
-//! control plane (per-flow broker decision, smoke-sized service run).
+//! control plane (per-flow one-hop and multihop broker decisions, the
+//! bandit's probe plan, smoke-sized service run).
 //!
 //! Self-contained harness (no external bench framework): each bench is
 //! timed over enough iterations to smooth scheduler noise, the median of
@@ -343,6 +344,60 @@ fn bench_bandit_update() -> f64 {
     })
 }
 
+/// One budgeted probe plan on the paper day's shape: 26 arms, a budget
+/// of 2, every arm pulled (one jitter draw per arm, one pass).
+fn bench_bandit_probe_plan() -> f64 {
+    let rng = simcore::SimRng::seed_from(7).fork(0xB0_9E);
+    let mut b = paths::PathBandit::new(paths::BanditConfig::service(), 26, rng);
+    for arm in 0..26 {
+        b.observe(arm, 10e6 + arm as f64 * 1e6);
+    }
+    bench(100_000, 7, || b.probe_plan(black_box(2)))
+}
+
+/// One multihop admission decision on a 26-arm pair (direct, five
+/// one-relay arms, twenty two-relay chains over five relays) with a
+/// changing set of busy relays: the busy-mask read plus the bandit's
+/// one-pass best usable arm.
+fn bench_multihop_decision() -> f64 {
+    let mut cands = vec![paths::Candidate {
+        hops: paths::Hops::direct(),
+        price_per_gb: 0.0,
+    }];
+    for i in 0..5 {
+        cands.push(paths::Candidate {
+            hops: paths::Hops::single(i),
+            price_per_gb: 0.01,
+        });
+    }
+    for i in 0..5 {
+        for j in (0..5).filter(|&j| j != i) {
+            cands.push(paths::Candidate {
+                hops: paths::Hops::from_slice(&[i, j]),
+                price_per_gb: 0.02,
+            });
+        }
+    }
+    let truth: Vec<paths::ArmEval> = (0..cands.len())
+        .map(|a| paths::ArmEval {
+            bps: 20e6 + a as f64 * 1e6,
+            rtt: SimDuration::from_millis(60),
+        })
+        .collect();
+    let mut broker = Broker::new(BrokerConfig {
+        max_probe_age: SimDuration::from_secs(600),
+        min_accept_bps: 1e6,
+        overlay_margin: 1.05,
+    });
+    broker.enable_multihop(vec![cands], paths::BanditConfig::service(), 7);
+    broker.seed_paths(0, &truth);
+    let mut i = 0u64;
+    bench(100_000, 7, || {
+        i += 1;
+        broker.decide_paths(0, |n| !(n as u64 + i).is_multiple_of(3))
+    })
+}
+
 /// The whole smoke-sized multihop comparison (three schedules × three
 /// policies over the Fig. 12/13 worst-direct pairs): the end-to-end
 /// number `cronets multihop --smoke` pays.
@@ -434,6 +489,8 @@ fn main() {
         ),
         ("multihop_enumerate", bench_multihop_enumerate()),
         ("bandit_update", bench_bandit_update()),
+        ("bandit_probe_plan", bench_bandit_probe_plan()),
+        ("multihop_decision", bench_multihop_decision()),
         ("multihop_smoke", bench_multihop_smoke()),
         ("fault_inject", bench_fault_inject()),
         ("chaos_smoke", bench_chaos_smoke()),

@@ -147,11 +147,16 @@ pub enum Decision {
     Deny,
 }
 
-/// One pair's multihop state: the (fixed) candidate chains and the
-/// bandit learning their goodput.
+/// A set of overlay nodes, one bit per node index.
+type RelayMask = u64;
+
+/// One pair's multihop state: the (fixed) candidate chains, the relays
+/// each one rides and the bandit learning their goodput.
 #[derive(Debug)]
 struct PairPaths {
     cands: Vec<Candidate>,
+    /// `relays[a]` holds the nodes arm `a` rides (0 for direct).
+    relays: Vec<RelayMask>,
     bandit: PathBandit,
 }
 
@@ -161,6 +166,25 @@ struct PairPaths {
 struct Multihop {
     pairs: Vec<PairPaths>,
     budget: u32,
+    /// Every node some arm rides: the relays a decision reads.
+    nodes: RelayMask,
+}
+
+impl Multihop {
+    /// The nodes among those some arm rides that `relay_free` reports
+    /// full, each asked once.
+    fn busy(&self, relay_free: impl Fn(usize) -> bool) -> RelayMask {
+        let mut busy = 0;
+        let mut rest = self.nodes;
+        while rest != 0 {
+            let n = rest.trailing_zeros();
+            if !relay_free(n as usize) {
+                busy |= 1 << n;
+            }
+            rest &= rest - 1;
+        }
+        busy
+    }
 }
 
 /// Online admission + path-selection engine (see module docs).
@@ -260,8 +284,16 @@ impl Broker {
     /// Switches the broker to the multihop bandit policy: one
     /// [`PathBandit`] per endpoint pair over that pair's enumerated
     /// candidate chains (`candidates[pair][0]` must be the direct arm).
-    /// Each bandit draws from its own substream forked from `seed`, so
-    /// decisions replay byte-identically at any thread count.
+    /// The broker owns the chains from here on
+    /// ([`Broker::candidates`]). Each bandit draws from its own
+    /// substream forked from `seed`, so decisions replay
+    /// byte-identically at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair's first candidate is not the direct arm, or if a
+    /// chain rides a node index the relay mask cannot hold (64 or
+    /// more).
     pub fn enable_multihop(
         &mut self,
         candidates: Vec<Vec<Candidate>>,
@@ -269,21 +301,52 @@ impl Broker {
         seed: u64,
     ) {
         let root = SimRng::seed_from(seed).fork(0xB0_D175);
+        let mut nodes: RelayMask = 0;
+        let pairs = candidates
+            .into_iter()
+            .enumerate()
+            .map(|(i, cands)| {
+                assert!(
+                    cands.first().is_some_and(|c| c.hops.is_empty()),
+                    "candidate 0 must be the direct arm"
+                );
+                let relays: Vec<RelayMask> = cands
+                    .iter()
+                    .map(|c| {
+                        c.hops.iter().fold(0, |m, n| {
+                            assert!(
+                                n < RelayMask::BITS as usize,
+                                "overlay node {n} does not fit the relay mask"
+                            );
+                            m | (1 << n)
+                        })
+                    })
+                    .collect();
+                nodes |= relays.iter().fold(0, |m, r| m | r);
+                let bandit = PathBandit::new(cfg, cands.len(), root.fork(i as u64));
+                PairPaths {
+                    cands,
+                    relays,
+                    bandit,
+                }
+            })
+            .collect();
         self.multihop = Some(Multihop {
             budget: cfg.probe_budget,
-            pairs: candidates
-                .into_iter()
-                .enumerate()
-                .map(|(i, cands)| {
-                    assert!(
-                        cands.first().is_some_and(|c| c.hops.is_empty()),
-                        "candidate 0 must be the direct arm"
-                    );
-                    let bandit = PathBandit::new(cfg, cands.len(), root.fork(i as u64));
-                    PairPaths { cands, bandit }
-                })
-                .collect(),
+            pairs,
+            nodes,
         });
+    }
+
+    /// Pair `pair`'s candidate chains, in arm order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the multihop policy is not enabled.
+    #[must_use]
+    pub fn candidates(&self, pair: usize) -> &[Candidate] {
+        let mh = self.multihop.as_ref().expect("multihop policy not enabled");
+        &mh.pairs[pair].cands
     }
 
     /// Seeds every arm of `pair` from a full ground-truth sweep — the
@@ -338,19 +401,19 @@ impl Broker {
     /// policy. Mirrors [`Broker::decide`]'s margin and floor rules, but
     /// expected rates come from the bandit's smoothed estimates and the
     /// path may be a multi-relay chain — every relay on it must be
-    /// free. Returns the decision plus the chosen arm index (0 =
-    /// direct).
+    /// free. `relay_free` is asked once per node, into a mask of busy
+    /// relays that each arm's relay mask is tested against. Returns the
+    /// decision plus the chosen arm index (0 = direct).
     pub fn decide_paths(
         &mut self,
         pair: usize,
         relay_free: impl Fn(usize) -> bool,
     ) -> (Decision, usize) {
         let mh = self.multihop.as_ref().expect("multihop policy not enabled");
+        let busy = mh.busy(relay_free);
         let p = &mh.pairs[pair];
         let direct_bps = p.bandit.mean(0);
-        let best = p
-            .bandit
-            .best_arm(|a| a != 0 && p.cands[a].hops.iter().all(&relay_free));
+        let best = p.bandit.best_arm(|a| a != 0 && p.relays[a] & busy == 0);
         if let Some(arm) = best {
             let bps = p.bandit.mean(arm);
             if bps >= self.cfg.overlay_margin * direct_bps && bps >= self.cfg.min_accept_bps {
@@ -665,6 +728,119 @@ mod tests {
         let (d, _) = b.decide_paths(0, |_| true);
         assert_eq!(d, Decision::Deny);
         assert_eq!(b.stats().denied, 1);
+    }
+
+    /// The decision `decide_paths` made before the busy mask: every
+    /// candidate arm asks `relay_free` about each of its relays.
+    fn decide_per_hop(
+        b: &Broker,
+        pair: usize,
+        relay_free: impl Fn(usize) -> bool,
+    ) -> (Decision, usize) {
+        let p = &b.multihop.as_ref().unwrap().pairs[pair];
+        let direct_bps = p.bandit.mean(0);
+        let best = p
+            .bandit
+            .best_arm(|a| a != 0 && p.cands[a].hops.iter().all(&relay_free));
+        if let Some(arm) = best {
+            let bps = p.bandit.mean(arm);
+            if bps >= b.cfg.overlay_margin * direct_bps && bps >= b.cfg.min_accept_bps {
+                let hops = p.cands[arm].hops;
+                return if hops.len() == 1 {
+                    let node = hops.get(0);
+                    (Decision::Overlay { node, bps }, arm)
+                } else {
+                    (Decision::Chain { hops, bps }, arm)
+                };
+            }
+        }
+        if direct_bps >= b.cfg.min_accept_bps {
+            (Decision::Direct { bps: direct_bps }, 0)
+        } else {
+            (Decision::Deny, 0)
+        }
+    }
+
+    /// `decide_paths` decides what the per-hop rule did, over seeded
+    /// bandit histories (seeding, budgeted refreshes, carried flows,
+    /// poisonings) and free sets with no, some and every relay free,
+    /// and asks about each node at most once.
+    #[test]
+    fn busy_mask_decides_like_the_per_hop_rule() {
+        const NODES: usize = 8;
+        let mut rng = SimRng::seed_from(0xB057);
+        let mut seen = [0u32; 4];
+        for round in 0..200 {
+            let pairs = 1 + rng.index(6);
+            let cands: Vec<Vec<Candidate>> = (0..pairs)
+                .map(|_| {
+                    let mut arms = vec![cand(&[])];
+                    for _ in 0..rng.index(12) {
+                        let mut hops: Vec<usize> = Vec::new();
+                        for _ in 0..1 + rng.index(Hops::MAX_HOPS) {
+                            let n = rng.index(NODES);
+                            if !hops.contains(&n) {
+                                hops.push(n);
+                            }
+                        }
+                        arms.push(cand(&hops));
+                    }
+                    arms
+                })
+                .collect();
+            let mut b = Broker::new(cfg());
+            b.enable_multihop(cands, BanditConfig::service(), round);
+            let palette = [0.5e6, 10e6, 25e6, 60e6];
+            for pair in 0..pairs {
+                let n = b.candidates(pair).len();
+                let rates: Vec<f64> = (0..n).map(|_| palette[rng.index(4)]).collect();
+                b.seed_paths(pair, &truth(&rates));
+            }
+            for step in 0..40 {
+                let pair = rng.index(pairs);
+                let n = b.candidates(pair).len();
+                match rng.index(8) {
+                    0 => {
+                        let rates: Vec<f64> = (0..n).map(|_| palette[rng.index(4)]).collect();
+                        b.probe_paths(pair, &truth(&rates));
+                    }
+                    1 if step % 13 == 0 => b.poison_paths(),
+                    _ => b.learn_path(pair, rng.index(n), palette[rng.index(4)]),
+                }
+                let free_set = match rng.index(3) {
+                    0 => 0,
+                    1 => rng.next_u64(),
+                    _ => u64::MAX,
+                };
+                let free = |n: usize| (free_set >> n) & 1 == 1;
+                let want = decide_per_hop(&b, pair, free);
+                let asked = std::cell::Cell::new(0u64);
+                let got = b.decide_paths(pair, |n| {
+                    assert_eq!((asked.get() >> n) & 1, 0, "node {n} asked twice");
+                    asked.set(asked.get() | (1 << n));
+                    free(n)
+                });
+                assert_eq!(got, want, "round {round}, pair {pair}, free {free_set:b}");
+                seen[match got.0 {
+                    Decision::Overlay { .. } => 0,
+                    Decision::Chain { .. } => 1,
+                    Decision::Direct { .. } => 2,
+                    Decision::Deny => 3,
+                }] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&c| c > 100), "decision kinds {seen:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "overlay node 64 does not fit the relay mask")]
+    fn enable_multihop_rejects_a_node_past_the_mask() {
+        let mut b = Broker::new(cfg());
+        b.enable_multihop(
+            vec![vec![cand(&[]), cand(&[63]), cand(&[2, 64])]],
+            BanditConfig::service(),
+            7,
+        );
     }
 
     #[test]

@@ -235,10 +235,7 @@ pub fn modes_from_segments(
     // shrinks the MSS; the overlay node adds forwarding latency.
     let mut chained = q_a.chain(q_b);
     chained.rtt += node.forward_delay() * 2;
-    let tunnel_params = TcpParams {
-        mss: tunnel.effective_mss(params.mss),
-        ..*params
-    };
+    let tunnel_params = tunnel_params(tunnel, params);
     let plain = Measurement {
         throughput_bps: tcp_throughput(&chained, &tunnel_params),
         rtt: chained.rtt,
@@ -307,10 +304,7 @@ pub fn eval_multi_hop(
     waypoints.extend(chain.iter().map(|n| n.vm()));
     waypoints.push(b);
 
-    let tunnel_params = TcpParams {
-        mss: tunnel.effective_mss(params.mss),
-        ..*params
-    };
+    let tunnel_params = tunnel_params(tunnel, params);
     let mut rate = f64::INFINITY;
     let mut full_path: Option<RouterPath> = None;
     let segments = waypoints.len() - 1;
@@ -334,24 +328,69 @@ pub fn eval_multi_hop(
     Some((rate * efficiency, full_path?))
 }
 
-/// Composes the measurement for a multi-hop relay chain from per-leg
-/// path qualities (`legs.len() == chain.len() + 1`, in traversal order).
+/// The TCP parameters of a loop inside the tunnel: the tunnel header
+/// shrinks the MSS.
+fn tunnel_params(tunnel: TunnelKind, params: &TcpParams) -> TcpParams {
+    TcpParams {
+        mss: tunnel.effective_mss(params.mss),
+        ..*params
+    }
+}
+
+/// One overlay leg as a chain composes it: the leg's path quality and
+/// the rate of the TCP loop a split relay runs over it.
 ///
-/// This is the composable-tunnel primitive behind the `paths` crate:
-/// every leg up to the last runs its own TCP loop through the tunnel
-/// MSS (the relay re-encapsulates toward the next hop), while the final
-/// leg is NAT-decapsulated at full MSS — exactly the one-hop split
-/// model of [`modes_from_segments`] applied per leg. The chain rate is
-/// the slowest leg discounted by the product of relay efficiencies.
-/// Tunnels that cannot split TCP (IPsec) degrade to a single loop over
-/// the whole concatenation at tunnel MSS.
+/// A leg's rate depends only on the leg and on where it ends, so a
+/// caller that scores many chains over shared legs measures each leg
+/// once and composes every chain from the entries with
+/// [`chain_measurement`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Leg {
+    /// The leg's path quality.
+    pub quality: PathQuality,
+    /// The rate of the leg's own TCP loop, bits per second.
+    pub bps: f64,
+}
+
+impl Leg {
+    /// Measures a leg's TCP loop. A leg into a relay runs through the
+    /// tunnel MSS (the relay re-encapsulates toward the next hop); a
+    /// leg into the destination is NAT-decapsulated at the full MSS, as
+    /// is a direct path.
+    #[must_use]
+    pub fn measure(
+        quality: PathQuality,
+        into_relay: bool,
+        tunnel: TunnelKind,
+        params: &TcpParams,
+    ) -> Leg {
+        let bps = if into_relay {
+            tcp_throughput(&quality, &tunnel_params(tunnel, params))
+        } else {
+            tcp_throughput(&quality, params)
+        };
+        Leg { quality, bps }
+    }
+}
+
+/// Composes the measurement for a multi-hop relay chain from its legs
+/// (`legs.len() == chain.len() + 1`, in traversal order, each measured
+/// by [`Leg::measure`]).
+///
+/// This is the composable-tunnel primitive behind the `paths` crate and
+/// the online service's one-hop truth: every leg runs its own TCP loop,
+/// so the chain rate is the slowest leg's rate discounted by the
+/// product of relay efficiencies. A one-relay chain is exactly the
+/// split mode of [`modes_from_segments`]. Tunnels that cannot split
+/// TCP (IPsec) degrade to a single loop over the whole concatenation at
+/// tunnel MSS.
 ///
 /// # Panics
 ///
 /// Panics unless `legs.len() == chain.len() + 1`.
 #[must_use]
 pub fn chain_measurement(
-    legs: &[PathQuality],
+    legs: &[Leg],
     chain: &[&OverlayNode],
     tunnel: TunnelKind,
     params: &TcpParams,
@@ -361,30 +400,21 @@ pub fn chain_measurement(
         chain.len() + 1,
         "a k-hop chain has k + 1 tunnel legs"
     );
-    let mut chained = legs[0];
-    for q in &legs[1..] {
-        chained = chained.chain(q);
+    let mut chained = legs[0].quality;
+    for l in &legs[1..] {
+        chained = chained.chain(&l.quality);
     }
     for n in chain {
         chained.rtt += n.forward_delay() * 2;
     }
-    let tunnel_params = TcpParams {
-        mss: tunnel.effective_mss(params.mss),
-        ..*params
-    };
     if !tunnel.supports_split_tcp() {
         return Measurement {
-            throughput_bps: tcp_throughput(&chained, &tunnel_params),
+            throughput_bps: tcp_throughput(&chained, &tunnel_params(tunnel, params)),
             rtt: chained.rtt,
             loss: chained.loss,
         };
     }
-    let last = legs.len() - 1;
-    let mut rate = f64::INFINITY;
-    for (i, q) in legs.iter().enumerate() {
-        let p = if i == last { params } else { &tunnel_params };
-        rate = rate.min(tcp_throughput(q, p));
-    }
+    let rate = legs[1..].iter().fold(legs[0].bps, |r, l| r.min(l.bps));
     let efficiency: f64 = chain.iter().map(|n| n.relay_efficiency()).product();
     Measurement {
         throughput_bps: rate * efficiency,
@@ -411,8 +441,12 @@ mod tests {
     use topology::AsTier;
 
     fn world() -> (Network, crate::Cronet, RouterId, RouterId) {
+        world_with(TunnelKind::Gre)
+    }
+
+    fn world_with(tunnel: TunnelKind) -> (Network, crate::Cronet, RouterId, RouterId) {
         let mut net = generate(&InternetConfig::small(), 31);
-        let cronet = CronetBuilder::new().build(&mut net, 31);
+        let cronet = CronetBuilder::new().tunnel(tunnel).build(&mut net, 31);
         let stubs: Vec<_> = net
             .ases()
             .filter(|a| a.tier() == AsTier::Stub)
@@ -552,18 +586,100 @@ mod tests {
         assert!(eval.best_split_node().is_some());
     }
 
-    #[test]
-    fn chain_measurement_matches_one_hop_split_mode() {
-        let (net, cronet, a, b) = world();
+    /// The legs of the chain `a → chain → b`, each routed, measured and
+    /// given its own TCP loop's rate.
+    fn legs_along(
+        net: &Network,
+        cronet: &crate::Cronet,
+        a: RouterId,
+        chain: &[&OverlayNode],
+        b: RouterId,
+    ) -> Vec<Leg> {
         let mut bgp = Bgp::new();
-        let node = &cronet.nodes()[0];
-        let q_a = quality(&net, &route(&net, &mut bgp, a, node.vm()).unwrap());
-        let q_b = quality(&net, &route(&net, &mut bgp, node.vm(), b).unwrap());
-        let (_, split, _) = modes_from_segments(&q_a, &q_b, node, TunnelKind::Gre, cronet.params());
-        let m = chain_measurement(&[q_a, q_b], &[node], TunnelKind::Gre, cronet.params());
-        assert!((m.throughput_bps - split.throughput_bps).abs() < 1e-9);
-        assert_eq!(m.rtt, split.rtt);
-        assert!((m.loss - split.loss).abs() < 1e-12);
+        let mut waypoints = vec![a];
+        waypoints.extend(chain.iter().map(|n| n.vm()));
+        waypoints.push(b);
+        waypoints
+            .windows(2)
+            .map(|w| {
+                let q = quality(net, &route(net, &mut bgp, w[0], w[1]).unwrap());
+                Leg::measure(q, w[1] != b, cronet.tunnel(), cronet.params())
+            })
+            .collect()
+    }
+
+    /// The chain composition per-leg rates replaced: every leg's TCP
+    /// loop evaluated inside the composition, from qualities alone.
+    fn chain_from_qualities(
+        legs: &[PathQuality],
+        chain: &[&OverlayNode],
+        tunnel: TunnelKind,
+        params: &TcpParams,
+    ) -> Measurement {
+        let mut chained = legs[0];
+        for q in &legs[1..] {
+            chained = chained.chain(q);
+        }
+        for n in chain {
+            chained.rtt += n.forward_delay() * 2;
+        }
+        let tunnel_params = TcpParams {
+            mss: tunnel.effective_mss(params.mss),
+            ..*params
+        };
+        if !tunnel.supports_split_tcp() {
+            return Measurement {
+                throughput_bps: tcp_throughput(&chained, &tunnel_params),
+                rtt: chained.rtt,
+                loss: chained.loss,
+            };
+        }
+        let last = legs.len() - 1;
+        let mut rate = f64::INFINITY;
+        for (i, q) in legs.iter().enumerate() {
+            let p = if i == last { params } else { &tunnel_params };
+            rate = rate.min(tcp_throughput(q, p));
+        }
+        let efficiency: f64 = chain.iter().map(|n| n.relay_efficiency()).product();
+        Measurement {
+            throughput_bps: rate * efficiency,
+            rtt: chained.rtt,
+            loss: chained.loss,
+        }
+    }
+
+    fn bits(m: &Measurement) -> (u64, SimDuration, u64) {
+        (m.throughput_bps.to_bits(), m.rtt, m.loss.to_bits())
+    }
+
+    /// On both tunnel kinds, the composition fed per-leg rates is the
+    /// split mode of `modes_from_segments` for every one-relay chain and
+    /// the quality-only composition for every two-relay chain, bit for
+    /// bit.
+    #[test]
+    fn composed_leg_rates_match_both_references_on_gre_and_ipsec() {
+        for tunnel in [TunnelKind::Gre, TunnelKind::Ipsec] {
+            let (net, cronet, a, b) = world_with(tunnel);
+            let params = cronet.params();
+            let nodes = cronet.nodes();
+            for (i, x) in nodes.iter().enumerate() {
+                let legs = legs_along(&net, &cronet, a, &[x], b);
+                let (_, split, _) =
+                    modes_from_segments(&legs[0].quality, &legs[1].quality, x, tunnel, params);
+                let m = chain_measurement(&legs, &[x], tunnel, params);
+                assert_eq!(bits(&m), bits(&split), "{tunnel:?} via O{i}");
+                for (j, y) in nodes.iter().enumerate() {
+                    if j == i {
+                        continue;
+                    }
+                    let legs = legs_along(&net, &cronet, a, &[x, y], b);
+                    let qs: Vec<PathQuality> = legs.iter().map(|l| l.quality).collect();
+                    let want = chain_from_qualities(&qs, &[x, y], tunnel, params);
+                    let m = chain_measurement(&legs, &[x, y], tunnel, params);
+                    assert_eq!(bits(&m), bits(&want), "{tunnel:?} via O{i}-O{j}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -581,13 +697,7 @@ mod tests {
             cronet.params(),
         )
         .unwrap();
-        let legs: Vec<PathQuality> = {
-            let waypoints = [a, chain[0].vm(), chain[1].vm(), b];
-            waypoints
-                .windows(2)
-                .map(|w| quality(&net, &route(&net, &mut bgp, w[0], w[1]).unwrap()))
-                .collect()
-        };
+        let legs = legs_along(&net, &cronet, a, &chain, b);
         let m = chain_measurement(&legs, &chain, TunnelKind::Gre, cronet.params());
         assert!((m.throughput_bps - rate).abs() < 1e-9);
     }
@@ -595,15 +705,8 @@ mod tests {
     #[test]
     fn ipsec_chain_degrades_to_single_loop() {
         let (net, cronet, a, b) = world();
-        let mut bgp = Bgp::new();
         let chain: Vec<&OverlayNode> = cronet.nodes().iter().take(2).collect();
-        let legs: Vec<PathQuality> = {
-            let waypoints = [a, chain[0].vm(), chain[1].vm(), b];
-            waypoints
-                .windows(2)
-                .map(|w| quality(&net, &route(&net, &mut bgp, w[0], w[1]).unwrap()))
-                .collect()
-        };
+        let legs = legs_along(&net, &cronet, a, &chain, b);
         let split = chain_measurement(&legs, &chain, TunnelKind::Gre, cronet.params());
         let plain = chain_measurement(&legs, &chain, TunnelKind::Ipsec, cronet.params());
         // One TCP loop over three concatenated legs cannot beat the

@@ -4,12 +4,13 @@
 //! service*. An open-loop workload ([`control::workload`]) issues flow
 //! requests against server/client pairs; an admission broker
 //! ([`control::broker`]) steers each flow onto the direct path or a
-//! one-hop overlay using a staleness-bounded probe cache; admitted flows
-//! run as discrete events on [`simcore::EventQueue`] and occupy relay
-//! capacity until they complete; a fleet autoscaler ([`control::fleet`])
-//! rents and drains relays against a cloud budget at every epoch
-//! boundary; and an SLO ledger ([`control::slo`]) charges per-tenant
-//! violations.
+//! one-hop overlay using a staleness-bounded probe cache (or, under the
+//! multihop policy, onto a relay chain a per-pair bandit picks);
+//! admitted flows run as discrete events on [`simcore::EventQueue`] and
+//! occupy relay capacity until they complete; a fleet autoscaler
+//! ([`control::fleet`]) rents and drains relays against a cloud budget
+//! at every epoch boundary; and an SLO ledger ([`control::slo`])
+//! charges per-tenant violations.
 //!
 //! The same loop runs the service under a fault schedule
 //! ([`crate::chaos`]): relay crashes kill the flows riding them, killed
@@ -27,10 +28,13 @@
 //! * each epoch's arrivals come from its `(seed, epoch)` substream,
 //!   generated at the top of that epoch (a plain run frees them when the
 //!   epoch ends);
-//! * per-epoch path truth measures each overlay leg once, one work unit
-//!   per leg over a read-only [`RouteCache`], merged in table order; the
-//!   pairs' one-hop truth and multihop arm scores are composed from that
-//!   table, one work unit per pair, merged in pair order;
+//! * per-epoch path truth measures each overlay leg once — its path
+//!   quality and its own TCP loop's rate — one work unit per leg over a
+//!   read-only [`RouteCache`], merged in table order; the pairs'
+//!   one-hop truth and multihop arm scores are composed from that table
+//!   by one rule ([`chain_measurement`]), one work unit per pair, merged
+//!   in pair order. Under the multihop policy the broker owns each
+//!   pair's candidate chains, and the arm scoring reads them from it;
 //! * the event loop itself is serial, and [`simcore::EventQueue`] breaks
 //!   time ties FIFO, so the decision sequence is schedule-independent;
 //! * an epoch's arrivals never enter the queue. A cursor over them (they
@@ -52,8 +56,9 @@ use control::{
     Broker, BrokerConfig, Decision, Fleet, FleetConfig, FlowRequest, PathsPolicy, ShardMsg,
     SloAccount, SloTarget, WorkloadConfig,
 };
-use cronets::eval::{modes_from_segments, quality, Measurement, OverlayProbe, PairProbe};
+use cronets::eval::{chain_measurement, quality, Leg, Measurement, OverlayProbe, PairProbe};
 use cronets::select::{achieved, PathChoice};
+use cronets::TunnelKind;
 use faults::{FaultKind, FaultSchedule, Invariants};
 use obs::SpanKind;
 use paths::{
@@ -63,7 +68,7 @@ use routing::{NodeAddr, RouteCache};
 use simcore::rng::mix64;
 use simcore::{EventHandle, EventQueue, Merged, SimDuration, SimTime};
 use topology::{LinkId, Network, RouterId};
-use transport::model::{tcp_throughput, PathQuality};
+use transport::model::TcpParams;
 
 use crate::attribution::Attribution;
 use crate::chaos::{availability_by_epoch, ChaosConfig, ChaosReport, ChaosRow};
@@ -599,23 +604,29 @@ pub enum RemoteEvent {
 }
 
 /// Every overlay leg one epoch's path truth reads, measured once per
-/// epoch. The one-hop truth and the multihop arm scores both compose
-/// their paths from these qualities, so a leg many pairs share — a
-/// server's leg to a relay, a relay's leg to a client, a mesh leg — is
-/// walked once per epoch, and no router path is joined.
+/// epoch: its path quality and the rate of the TCP loop a split relay
+/// runs over it ([`Leg::measure`]). The one-hop truth and the multihop
+/// arm scores compose their paths from these entries by one rule
+/// ([`chain_measurement`]; a one-hop overlay is a one-relay chain), so a
+/// leg many pairs share — a server's leg to a relay, a relay's leg to a
+/// client, a mesh leg — is walked and rated once per epoch, and no
+/// router path is joined.
 struct LegTable {
-    /// Leg endpoints in table order: server → node, node → client,
-    /// node → node (multihop only, without the diagonal), then each
-    /// pair's direct leg.
+    /// Leg endpoints in table order: server → node, node → node
+    /// (multihop only, without the diagonal), node → client, then each
+    /// pair's direct leg. The legs before `into_relay` end at a relay.
     legs: Vec<(RouterId, RouterId)>,
+    into_relay: usize,
     /// Each pair's (server, client) position in the world's lists.
     ends: Vec<(usize, usize)>,
     servers: usize,
     clients: usize,
     nodes: usize,
     mesh: bool,
-    /// This epoch's quality per leg; `None` where no route exists.
-    q: Vec<Option<PathQuality>>,
+    tunnel: TunnelKind,
+    params: TcpParams,
+    /// This epoch's measurement per leg; `None` where no route exists.
+    m: Vec<Option<Leg>>,
 }
 
 impl LegTable {
@@ -634,9 +645,6 @@ impl LegTable {
         for &s in &world.servers {
             legs.extend(vms.iter().map(|&v| (s, v)));
         }
-        for &v in &vms {
-            legs.extend(world.clients.iter().map(|&c| (v, c)));
-        }
         if mesh {
             for (a, &va) in vms.iter().enumerate() {
                 for (b, &vb) in vms.iter().enumerate() {
@@ -646,85 +654,90 @@ impl LegTable {
                 }
             }
         }
+        let into_relay = legs.len();
+        for &v in &vms {
+            legs.extend(world.clients.iter().map(|&c| (v, c)));
+        }
         legs.extend_from_slice(pairs);
         LegTable {
             legs,
+            into_relay,
             ends,
             servers: world.servers.len(),
             clients: world.clients.len(),
             nodes: vms.len(),
             mesh,
-            q: Vec::new(),
+            tunnel: world.cronet.tunnel(),
+            params: *world.cronet.params(),
+            m: Vec::new(),
         }
     }
 
     /// Measures every leg under the current congestion state: one work
     /// unit per leg over the read-only cache, merged in table order.
     fn measure(&mut self, net: &Network, cache: &RouteCache) {
-        let legs = &self.legs;
-        self.q = exec::parallel_map(legs.len(), |k| {
+        let (legs, into_relay) = (&self.legs, self.into_relay);
+        let (tunnel, params) = (self.tunnel, &self.params);
+        self.m = exec::parallel_map(legs.len(), |k| {
             let (u, v) = legs[k];
-            cache.route(net, u, v).map(|p| quality(net, &p))
+            let q = quality(net, &cache.route(net, u, v)?);
+            Some(Leg::measure(q, k < into_relay, tunnel, params))
         });
     }
 
-    /// This epoch's quality of the leg from `u` to `v` on pair `pi`'s
-    /// paths.
-    fn leg(&self, pi: usize, u: Waypoint, v: Waypoint) -> Option<PathQuality> {
+    /// This epoch's measurement of the leg from `u` to `v` on pair
+    /// `pi`'s paths.
+    fn leg(&self, pi: usize, u: Waypoint, v: Waypoint) -> Option<Leg> {
         let (s, c) = self.ends[pi];
         let n = self.nodes;
-        let (to_relays, to_clients) = (self.servers * n, n * self.clients);
+        let to_clients = self.into_relay;
         let k = match (u, v) {
             (Waypoint::Src, Waypoint::Relay(r)) => s * n + r,
-            (Waypoint::Relay(r), Waypoint::Dst) => to_relays + r * self.clients + c,
             (Waypoint::Relay(a), Waypoint::Relay(b)) => {
                 debug_assert!(self.mesh && a != b, "no mesh leg {a} → {b}");
-                to_relays + to_clients + a * (n - 1) + b - usize::from(b > a)
+                self.servers * n + a * (n - 1) + b - usize::from(b > a)
             }
-            (Waypoint::Src, Waypoint::Dst) => {
-                let mesh = if self.mesh { n * (n - 1) } else { 0 };
-                to_relays + to_clients + mesh + pi
-            }
+            (Waypoint::Relay(r), Waypoint::Dst) => to_clients + r * self.clients + c,
+            (Waypoint::Src, Waypoint::Dst) => to_clients + n * self.clients + pi,
             _ => unreachable!("paths run source → relays → destination"),
         };
-        self.q[k]
+        self.m[k]
     }
 
     /// The one-hop ground truth of every pair: the direct measurement
-    /// and the split measurement through each node whose two legs
-    /// route. One work unit per pair, merged in pair order.
+    /// and, through each node whose two legs route, that one-relay
+    /// chain's measurement. One work unit per pair, merged in pair
+    /// order.
     fn onehop_truth(&self, world: &World) -> Vec<PairProbe> {
-        let params = *world.cronet.params();
-        let tunnel = world.cronet.tunnel();
         let nodes = world.cronet.nodes();
         exec::parallel_map(self.ends.len(), |pi| {
-            let q_direct = self.leg(pi, Waypoint::Src, Waypoint::Dst).expect(
+            let d = self.leg(pi, Waypoint::Src, Waypoint::Dst).expect(
                 "pairs are filtered to routable at build time and the route memo never changes",
             );
             let direct = Measurement {
-                throughput_bps: tcp_throughput(&q_direct, &params),
-                rtt: q_direct.rtt,
-                loss: q_direct.loss,
+                throughput_bps: d.bps,
+                rtt: d.quality.rtt,
+                loss: d.quality.loss,
             };
             let mut overlays = Vec::with_capacity(nodes.len());
             overlays.extend(nodes.iter().enumerate().filter_map(|(ni, node)| {
-                let q_a = self.leg(pi, Waypoint::Src, Waypoint::Relay(ni))?;
-                let q_b = self.leg(pi, Waypoint::Relay(ni), Waypoint::Dst)?;
-                let (_, split, _) = modes_from_segments(&q_a, &q_b, node, tunnel, &params);
+                let a = self.leg(pi, Waypoint::Src, Waypoint::Relay(ni))?;
+                let b = self.leg(pi, Waypoint::Relay(ni), Waypoint::Dst)?;
+                let split = chain_measurement(&[a, b], &[node], self.tunnel, &self.params);
                 Some(OverlayProbe { node: ni, split })
             }));
             PairProbe { direct, overlays }
         })
     }
 
-    /// Every pair's fixed multihop arms scored under the current
-    /// congestion state. One work unit per pair, merged in pair order.
-    fn arm_truth(&self, world: &World, cands: &[Vec<Candidate>]) -> Vec<Vec<ArmEval>> {
-        let params = *world.cronet.params();
-        let tunnel = world.cronet.tunnel();
+    /// Every pair's fixed multihop arms, as the broker holds them,
+    /// scored under the current congestion state. One work unit per
+    /// pair, merged in pair order.
+    fn arm_truth(&self, world: &World, broker: &Broker) -> Vec<Vec<ArmEval>> {
         let nodes = world.cronet.nodes();
-        exec::parallel_map(cands.len(), |pi| {
-            paths::score_arms(nodes, tunnel, &params, &cands[pi], |u, v| {
+        exec::parallel_map(self.ends.len(), |pi| {
+            let cands = broker.candidates(pi);
+            paths::score_arms(nodes, self.tunnel, &self.params, cands, |u, v| {
                 self.leg(pi, u, v)
             })
         })
@@ -929,7 +942,6 @@ pub(crate) struct ServiceLoop {
     cache: RouteCache,
     pairs: Vec<(RouterId, RouterId)>,
     multihop: bool,
-    cands: Vec<Vec<Candidate>>,
     /// The overlay legs the per-epoch truth is composed from.
     legs: LegTable,
     /// The current epoch's one-hop ground truth, per pair. A fault run
@@ -996,7 +1008,7 @@ impl ServiceLoop {
         // pruning keeps arm indices stable for the bandits' whole run)
         // and warm the relay-mesh legs the chains ride on.
         let multihop = cfg.paths == PathsPolicy::MultiHop;
-        let mut cands: Vec<Vec<Candidate>> = Vec::new();
+        let mut cands: Option<Vec<Vec<Candidate>>> = None;
         if multihop {
             let mesh: Vec<(RouterId, RouterId)> = world
                 .cronet
@@ -1016,17 +1028,17 @@ impl ServiceLoop {
             let hop_price = relay_hop_price_per_gb(cfg.fleet.port, cfg.fleet.plan);
             let (net, nodes) = (&world.net, world.cronet.nodes());
             let shared = &cache;
-            cands = exec::parallel_map(pairs.len(), |pi| {
+            cands = Some(exec::parallel_map(pairs.len(), |pi| {
                 let (s, c) = pairs[pi];
                 paths::enumerate(net, shared, nodes, s, c, &ecfg, hop_price)
-            });
+            }));
         }
 
         let legs = LegTable::new(&world, &pairs, multihop);
         let epochs = cfg.workload.epochs;
         let mut broker = Broker::new(cfg.broker);
-        if multihop {
-            broker.enable_multihop(cands.clone(), BanditConfig::service(), seed);
+        if let Some(cands) = cands {
+            broker.enable_multihop(cands, BanditConfig::service(), seed);
         }
         let fleet = Fleet::grouped(cfg.fleet, nodes_n);
         let slo = SloAccount::new(cfg.slo.clone());
@@ -1037,7 +1049,6 @@ impl ServiceLoop {
             cache,
             pairs,
             multihop,
-            cands,
             legs,
             truth: Vec::new(),
             ptruth: Vec::new(),
@@ -1116,7 +1127,7 @@ impl ServiceLoop {
         let epoch_end = epoch_start + self.cfg.workload.epoch;
         self.legs.measure(&self.world.net, &self.cache);
         if self.multihop {
-            self.ptruth = self.legs.arm_truth(&self.world, &self.cands);
+            self.ptruth = self.legs.arm_truth(&self.world, &self.broker);
         } else {
             self.truth = self.legs.onehop_truth(&self.world);
         }
@@ -1966,6 +1977,8 @@ pub fn service(cfg: &ServiceConfig, seed: u64) -> ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cronets::eval::modes_from_segments;
+    use transport::model::tcp_throughput;
 
     /// The thread-local span ring [`SpanLog`] replaced, as the
     /// reference its windows must reproduce: a full ring overwrites its
@@ -2243,7 +2256,7 @@ mod tests {
                             assert_ne!(direct, epoch0_direct, "the congestion step moved nothing");
                         }
                     } else {
-                        let arms = svc.legs.arm_truth(&svc.world, &svc.cands);
+                        let arms = svc.legs.arm_truth(&svc.world, &svc.broker);
                         let (net, cronet) = (&svc.world.net, &svc.world.cronet);
                         for (pi, got) in arms.iter().enumerate() {
                             let (s, c) = svc.pairs[pi];
@@ -2255,7 +2268,7 @@ mod tests {
                                 c,
                                 cronet.tunnel(),
                                 cronet.params(),
-                                &svc.cands[pi],
+                                svc.broker.candidates(pi),
                             );
                             assert_eq!(got.len(), want.len(), "pair {pi}");
                             for (g, w) in got.iter().zip(&want) {

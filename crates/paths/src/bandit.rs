@@ -142,26 +142,31 @@ impl PathBandit {
     /// uncertainty, so the budget keeps the plausible *contenders* fresh
     /// instead of sweeping arms already known to be poor. Exact ties are
     /// broken by a jitter draw from the bandit's substream (one draw per
-    /// arm, every call — a fixed draw count for replay determinism).
+    /// arm, every call — a fixed draw count for replay determinism),
+    /// then by the lower index.
+    ///
+    /// One pass over the arms: the confidence scale and `ln(t + 2)` are
+    /// computed once per plan, and the plan keeps only the best
+    /// `budget` arms seen so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any arm's priority is NaN.
     #[must_use]
     pub fn probe_plan(&mut self, budget: usize) -> Vec<usize> {
-        let jitter = 1e-9 * self.scale();
-        let mut prio: Vec<(bool, f64, usize)> = (0..self.n_arms())
-            .map(|a| {
-                (
-                    self.pulls[a] == 0,
-                    self.score(a) + self.rng.uniform_f64() * jitter,
-                    a,
-                )
-            })
-            .collect();
-        prio.sort_by(|x, y| {
-            y.0.cmp(&x.0)
-                .then(y.1.partial_cmp(&x.1).expect("probe priorities are finite"))
-                .then(x.2.cmp(&y.2))
-        });
-        prio.truncate(budget.min(self.n_arms()));
-        prio.into_iter().map(|(_, _, a)| a).collect()
+        let scale = self.scale();
+        let jitter = 1e-9 * scale;
+        let width = self.cfg.explore * scale;
+        let ln_t = ((self.t + 2) as f64).ln();
+        let k = budget.min(self.n_arms());
+        let mut top = Vec::with_capacity(k);
+        for a in 0..self.n_arms() {
+            let uncertainty = (ln_t / (self.pulls[a] + 1) as f64).sqrt();
+            let prio = self.means[a] + width * uncertainty + self.rng.uniform_f64() * jitter;
+            assert!(!prio.is_nan(), "probe priorities are finite");
+            keep_best(&mut top, k, (self.pulls[a] == 0, prio, a));
+        }
+        top.into_iter().map(|(_, _, a)| a).collect()
     }
 
     /// Discounts accumulated confidence (halves every pull count) so
@@ -172,6 +177,23 @@ impl PathBandit {
             *p /= 2;
         }
         self.t /= 2;
+    }
+}
+
+/// Offers `entry` = (unpulled, priority, arm) to `top`, the best
+/// entries so far in plan order (unpulled first, then priority
+/// descending), which keeps at most `k`. Arms are offered in ascending
+/// index order, so an entry goes after every one it does not strictly
+/// beat: equal keys keep the lower index first.
+fn keep_best(top: &mut Vec<(bool, f64, usize)>, k: usize, entry: (bool, f64, usize)) {
+    let (unpulled, prio, _) = entry;
+    let at = top
+        .iter()
+        .position(|&(u, p, _)| (unpulled && !u) || (unpulled == u && prio > p))
+        .unwrap_or(top.len());
+    if at < k {
+        top.truncate(k - 1);
+        top.insert(at, entry);
     }
 }
 
@@ -326,6 +348,91 @@ mod tests {
             }
         }
         assert!(some > 500 && none > 100, "{some} / {none}");
+    }
+
+    /// The plan `probe_plan` replaced: score every arm (one jitter draw
+    /// each, in arm order), sort them all, keep the first `budget`.
+    fn sorted_plan(b: &mut PathBandit, budget: usize) -> Vec<usize> {
+        let jitter = 1e-9 * b.scale();
+        let mut prio: Vec<(bool, f64, usize)> = (0..b.n_arms())
+            .map(|a| {
+                (
+                    b.pulls[a] == 0,
+                    b.score(a) + b.rng.uniform_f64() * jitter,
+                    a,
+                )
+            })
+            .collect();
+        prio.sort_by(|x, y| {
+            y.0.cmp(&x.0)
+                .then(y.1.partial_cmp(&x.1).expect("probe priorities are finite"))
+                .then(x.2.cmp(&y.2))
+        });
+        prio.truncate(budget.min(b.n_arms()));
+        prio.into_iter().map(|(_, _, a)| a).collect()
+    }
+
+    /// `probe_plan` picks what the sort did and leaves the substream
+    /// where the sort left it, on bandits whose means tie exactly
+    /// (observations drawn from three rates, zero included), with
+    /// unpulled arms, after poisonings, at every budget from 0 to one
+    /// past the arm count.
+    #[test]
+    fn probe_plan_matches_the_sorted_plan() {
+        let mut rng = SimRng::seed_from(0x91A7);
+        let (mut plans, mut unpulled_first) = (0, 0);
+        for _ in 0..2_000 {
+            let n = 1 + rng.index(30);
+            let mut b = PathBandit::new(BanditConfig::service(), n, rng.fork(2));
+            for _ in 0..rng.index(3 * n) {
+                let bps = [0.0, 10e6, 25e6][rng.index(3)];
+                b.observe(rng.index(n), bps);
+            }
+            if rng.index(4) == 0 {
+                b.forget();
+            }
+            for budget in 0..=n + 1 {
+                let mut want_b = b.clone();
+                let want = sorted_plan(&mut want_b, budget);
+                let got = b.probe_plan(budget);
+                assert_eq!(got, want, "budget {budget}, means {:?}", b.means);
+                assert_eq!(format!("{:?}", b.rng), format!("{:?}", want_b.rng));
+                plans += 1;
+                if got.first().is_some_and(|&a| b.pulls[a] == 0) && got.len() > 1 {
+                    unpulled_first += 1;
+                }
+            }
+        }
+        assert!(
+            plans > 30_000 && unpulled_first > 1_000,
+            "{plans} / {unpulled_first}"
+        );
+    }
+
+    /// The bounded selection keeps the sort's order on keys that tie
+    /// exactly, which jittered priorities almost never do.
+    #[test]
+    fn keep_best_orders_exact_ties_like_the_sort() {
+        let mut rng = SimRng::seed_from(0x71E5);
+        for _ in 0..2_000 {
+            let n = rng.index(12);
+            let keys: Vec<(bool, f64, usize)> = (0..n)
+                .map(|a| (rng.index(2) == 0, [0.0, 1.0, 2.0][rng.index(3)], a))
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_by(|x, y| {
+                y.0.cmp(&x.0)
+                    .then(y.1.partial_cmp(&x.1).unwrap())
+                    .then(x.2.cmp(&y.2))
+            });
+            for k in 0..=n {
+                let mut top = Vec::new();
+                for &key in &keys {
+                    keep_best(&mut top, k, key);
+                }
+                assert_eq!(top, sorted[..k], "k {k}, keys {keys:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,12 @@
 use std::collections::HashMap;
 
 use cloud::pricing::{overlay_monthly_usd, PortSpeed, TrafficPlan};
-use cronets::eval::{chain_measurement, quality};
+use cronets::eval::{chain_measurement, quality, Leg};
 use cronets::{OverlayNode, TunnelKind};
 use routing::RouteCache;
 use simcore::SimDuration;
 use topology::{Network, RouterId};
-use transport::model::{tcp_throughput, PathQuality, TcpParams};
+use transport::model::TcpParams;
 
 use crate::Hops;
 
@@ -172,41 +172,44 @@ pub enum Waypoint {
     Dst,
 }
 
-/// Scores every candidate from per-leg path qualities: `leg(u, v)` is
-/// the current quality of the leg from `u` to `v`, or `None` where no
+/// Scores every candidate from per-leg measurements: `leg(u, v)` is
+/// the leg from `u` to `v` under the current congestion state, measured
+/// by [`Leg::measure`] (into a relay iff `v` is one), or `None` where no
 /// route exists (the arms riding it score as dead). Legs are asked for
-/// in traversal order, stopping at the first dead one. [`evaluate`]
-/// answers them from the route cache; the online service answers them
-/// from a table that measures each overlay leg once per epoch for all
-/// pairs.
+/// in traversal order, stopping at the first dead one. The direct arm
+/// is its one leg; every chain is composed from its legs' rates by
+/// [`chain_measurement`] (only a tunnel that cannot split TCP runs a
+/// loop over the concatenation). [`evaluate`] answers the legs from the
+/// route cache; the online service answers them from a table that
+/// measures each overlay leg once per epoch for all pairs.
 #[must_use]
 pub fn score_arms(
     nodes: &[OverlayNode],
     tunnel: TunnelKind,
     params: &TcpParams,
     cands: &[Candidate],
-    mut leg: impl FnMut(Waypoint, Waypoint) -> Option<PathQuality>,
+    mut leg: impl FnMut(Waypoint, Waypoint) -> Option<Leg>,
 ) -> Vec<ArmEval> {
     let dead = ArmEval {
         bps: 0.0,
         rtt: SimDuration::ZERO,
     };
     let mut chain: Vec<&OverlayNode> = Vec::with_capacity(Hops::MAX_HOPS);
-    let mut legs: Vec<PathQuality> = Vec::with_capacity(Hops::MAX_HOPS + 1);
+    let mut legs: Vec<Leg> = Vec::with_capacity(Hops::MAX_HOPS + 1);
     cands
         .iter()
         .map(|c| {
             if c.hops.is_empty() {
-                return leg(Waypoint::Src, Waypoint::Dst).map_or(dead, |q| ArmEval {
-                    bps: tcp_throughput(&q, params),
-                    rtt: q.rtt,
+                return leg(Waypoint::Src, Waypoint::Dst).map_or(dead, |l| ArmEval {
+                    bps: l.bps,
+                    rtt: l.quality.rtt,
                 });
             }
             legs.clear();
             let mut from = Waypoint::Src;
             for to in c.hops.iter().map(Waypoint::Relay).chain([Waypoint::Dst]) {
                 match leg(from, to) {
-                    Some(q) => legs.push(q),
+                    Some(l) => legs.push(l),
                     None => return dead,
                 }
                 from = to;
@@ -224,9 +227,9 @@ pub fn score_arms(
 
 /// Scores every candidate under the current congestion state, reading
 /// routes only through the (immutable) warmed cache so calls are safe
-/// inside `exec::parallel_map`. Leg qualities are memoized within the
-/// call — a full 3-hop enumeration over `n` nodes touches `O(n²)` legs,
-/// not `O(n³)` chains' worth.
+/// inside `exec::parallel_map`. Legs are measured once each and
+/// memoized within the call — a full 3-hop enumeration over `n` nodes
+/// touches `O(n²)` legs, not `O(n³)` chains' worth.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate(
@@ -244,12 +247,14 @@ pub fn evaluate(
         Waypoint::Relay(i) => nodes[i].vm(),
         Waypoint::Dst => dst,
     };
-    let mut memo: HashMap<(RouterId, RouterId), Option<PathQuality>> = HashMap::new();
+    let mut memo: HashMap<(RouterId, RouterId, bool), Option<Leg>> = HashMap::new();
     score_arms(nodes, tunnel, params, cands, |u, v| {
+        let into_relay = matches!(v, Waypoint::Relay(_));
         let (u, v) = (at(u), at(v));
-        *memo
-            .entry((u, v))
-            .or_insert_with(|| cache.route(net, u, v).map(|p| quality(net, &p)))
+        *memo.entry((u, v, into_relay)).or_insert_with(|| {
+            let q = quality(net, &cache.route(net, u, v)?);
+            Some(Leg::measure(q, into_relay, tunnel, params))
+        })
     })
 }
 
