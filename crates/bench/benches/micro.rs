@@ -78,6 +78,28 @@ fn bench_event_queue_coalesced() -> f64 {
     })
 }
 
+/// One pop and one schedule per step on a queue holding 1,300 live
+/// events (a planet region's mean depth) with a 56-byte payload (the
+/// service loop's event): the service days' steady state.
+fn bench_event_queue_steady() -> f64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut delay = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        SimDuration::from_nanos(1 + x % 2_000_000)
+    };
+    let mut q = EventQueue::<[u64; 7]>::new();
+    for i in 0..1_300 {
+        q.schedule(SimTime::ZERO + delay(), [i; 7]);
+    }
+    bench(200_000, 7, || {
+        let (t, ev) = q.pop().expect("the queue stays full");
+        q.schedule(t + delay(), ev);
+        t
+    })
+}
+
 fn bench_bgp() -> f64 {
     let net = generate(&InternetConfig::paper_scale(), 7);
     let dests: Vec<topology::AsId> = net.ases().map(|a| a.id()).take(8).collect();
@@ -466,6 +488,7 @@ fn main() {
     let results: Vec<(&str, f64)> = vec![
         ("event_queue_push_pop_10k", bench_event_queue()),
         ("event_queue_coalesced_10k", bench_event_queue_coalesced()),
+        ("event_queue_steady_1k", bench_event_queue_steady()),
         ("des_tcp_1s_100mbps", bench_des_tcp()),
         ("bgp_table_paper_scale", bench_bgp()),
         ("route_expand_paper_scale", bench_route_expansion()),

@@ -11,6 +11,19 @@
 //! generator forks an independent RNG substream per epoch — so the
 //! epochs can be produced by `exec::parallel_map` work units and merged
 //! in epoch order with byte-identical results at any thread count.
+//!
+//! # How an epoch is ordered
+//!
+//! An epoch's requests are drawn in id order and returned in `(at, id)`
+//! order. Ids are unique, so that order is a single vector, and no
+//! comparison sort is needed to reach it: the offsets are spread evenly
+//! over the epoch, so each request gets one of `n` buckets by a monotone
+//! map of its offset (an earlier request never lands in a later bucket).
+//! A counting pass turns bucket sizes into one `u32` destination per
+//! request; the requests move there in place, by following the
+//! permutation's cycles; and an insertion pass orders each bucket, which
+//! holds one request on average. Linear expected time, and never a
+//! second copy of the requests.
 
 use simcore::{SimDuration, SimRng, SimTime};
 
@@ -96,10 +109,11 @@ impl WorkloadConfig {
         self.rate_at(mid) * self.epoch.as_secs_f64()
     }
 
-    /// Generates epoch `e`'s arrivals, sorted by arrival time. A pure
-    /// function of `(seed, epoch)`: safe to call from parallel work
-    /// units in any order. Records the `control.workload.arrivals`
-    /// counter (a no-op while `obs` collection is off).
+    /// Generates epoch `e`'s arrivals, sorted by `(at, id)` (see the
+    /// module docs). A pure function of `(seed, epoch)`: safe to call
+    /// from parallel work units in any order. Records the
+    /// `control.workload.arrivals` counter (a no-op while `obs`
+    /// collection is off).
     ///
     /// # Panics
     ///
@@ -107,6 +121,15 @@ impl WorkloadConfig {
     /// or an empty epoch).
     #[must_use]
     pub fn epoch_arrivals(&self, seed: u64, epoch: u32) -> Vec<FlowRequest> {
+        let mut out = self.draw(seed, epoch);
+        let start = SimTime::ZERO + self.epoch * u64::from(epoch);
+        order_by_arrival(&mut out, start, self.epoch);
+        obs::add_named("control.workload.arrivals", out.len() as u64);
+        out
+    }
+
+    /// Epoch `e`'s requests in the order they are drawn: by id.
+    fn draw(&self, seed: u64, epoch: u32) -> Vec<FlowRequest> {
         assert!(self.clients > 0, "workload needs a client population");
         assert!(self.tenants > 0, "workload needs at least one tenant");
         assert!(!self.epoch.is_zero(), "workload epoch must be positive");
@@ -129,10 +152,70 @@ impl WorkloadConfig {
                 bytes,
             });
         }
-        // Ids are unique, so the unstable sort gives the stable order.
-        out.sort_unstable_by_key(|r| (r.at, r.id));
-        obs::add_named("control.workload.arrivals", n);
         out
+    }
+}
+
+/// Sorts an epoch's requests by `(at, id)` in place (see the module
+/// docs), for requests due in `[start, start + epoch)` and in id order.
+/// Any input comes out sorted; those two conditions only keep the
+/// insertion pass short.
+fn order_by_arrival(reqs: &mut [FlowRequest], start: SimTime, epoch: SimDuration) {
+    let n = reqs.len();
+    if n < 2 {
+        return;
+    }
+    assert!(
+        u32::try_from(n).is_ok(),
+        "an epoch's requests are u32-indexed"
+    );
+    // Offset → bucket in [0, n): monotone, since rounding a product with
+    // a positive factor is, and so is truncation and the clamp.
+    let scale = n as f64 / epoch.as_nanos() as f64;
+    let mut dest: Vec<u32> = reqs
+        .iter()
+        .map(|r| {
+            let off = r.at.saturating_duration_since(start).as_nanos();
+            ((off as f64 * scale) as usize).min(n - 1) as u32
+        })
+        .collect();
+    let mut next = vec![0u32; n];
+    for &b in &dest {
+        next[b as usize] += 1;
+    }
+    let mut sum = 0;
+    for c in &mut next {
+        let size = *c;
+        *c = sum;
+        sum += size;
+    }
+    // Bucket → destination, in input order, so a bucket keeps id order.
+    for d in &mut dest {
+        let b = *d as usize;
+        *d = next[b];
+        next[b] += 1;
+    }
+    drop(next);
+    // Each swap puts one request where it belongs.
+    for i in 0..n {
+        loop {
+            let d = dest[i] as usize;
+            if d == i {
+                break;
+            }
+            reqs.swap(i, d);
+            dest.swap(i, d);
+        }
+    }
+    // Buckets are in order; order each bucket's few requests.
+    for i in 1..n {
+        let r = reqs[i];
+        let mut j = i;
+        while j > 0 && (reqs[j - 1].at, reqs[j - 1].id) > (r.at, r.id) {
+            reqs[j] = reqs[j - 1];
+            j -= 1;
+        }
+        reqs[j] = r;
     }
 }
 
@@ -205,6 +288,85 @@ mod tests {
             (total as f64 - expect).abs() < 6.0 * sd,
             "{total} arrivals vs expected {expect}"
         );
+    }
+
+    /// The comparison sort `epoch_arrivals` used before the bucket
+    /// order, kept as its reference.
+    fn sorted(mut reqs: Vec<FlowRequest>) -> Vec<FlowRequest> {
+        reqs.sort_unstable_by_key(|r| (r.at, r.id));
+        reqs
+    }
+
+    #[test]
+    fn epoch_order_matches_the_comparison_sort() {
+        // A microsecond epoch crowds ~800 arrivals onto 1,000 instants,
+        // so many share one.
+        let crowded = WorkloadConfig {
+            epoch: SimDuration::from_micros(1),
+            mean_rate_per_sec: 2e9,
+            ..cfg()
+        };
+        let mut ties = 0;
+        for c in [cfg(), crowded] {
+            for seed in [7, 11] {
+                for e in 0..c.epochs {
+                    let got = c.epoch_arrivals(seed, e);
+                    ties += got.windows(2).filter(|w| w[0].at == w[1].at).count();
+                    assert_eq!(got, sorted(c.draw(seed, e)), "seed {seed} epoch {e}");
+                }
+            }
+        }
+        assert!(ties > 1_000, "{ties} tied arrivals");
+    }
+
+    /// A request `k` of epoch 0 at `off` ns into it.
+    fn req(k: u64, off: u64) -> FlowRequest {
+        FlowRequest {
+            id: k,
+            at: SimTime::from_nanos(off),
+            client: k,
+            tenant: 0,
+            bytes: k,
+        }
+    }
+
+    #[test]
+    fn crafted_batches_come_out_sorted() {
+        let epoch = SimDuration::from_secs(900);
+        let last = epoch.as_nanos() - 1;
+        // A 2^60 ns epoch: its last offset rounds up to the epoch in
+        // f64, so the bucket map needs its clamp to stay in range.
+        let long = SimDuration::from_nanos(1 << 60);
+        let mut rng = SimRng::seed_from(5);
+        let mut batches: Vec<(SimDuration, Vec<FlowRequest>)> = vec![
+            (epoch, vec![]),
+            (epoch, vec![req(0, 17)]),
+            (epoch, vec![req(0, last), req(1, 0)]),
+        ];
+        for n in [2, 3, 5, 64, 1_000] {
+            // Every request at one instant, ids in draw order and reversed.
+            let same: Vec<FlowRequest> = (0..n).map(|k| req(k, 12_345)).collect();
+            batches.push((epoch, same.iter().rev().copied().collect()));
+            batches.push((epoch, same));
+            // The epoch's two edges, mixed with random offsets.
+            let edges = (0..n)
+                .map(|k| match rng.index(3) {
+                    0 => req(k, 0),
+                    1 => req(k, last),
+                    _ => req(k, rng.index(last as usize + 1) as u64),
+                })
+                .collect();
+            batches.push((epoch, edges));
+            batches.push((
+                long,
+                (0..n).map(|k| req(k, (1 << 60) - 1 - k % 2)).collect(),
+            ));
+        }
+        for (epoch, batch) in batches {
+            let mut got = batch.clone();
+            order_by_arrival(&mut got, SimTime::ZERO, epoch);
+            assert_eq!(got, sorted(batch));
+        }
     }
 
     #[test]

@@ -450,21 +450,7 @@ enum Ev {
     },
     /// The egress leg of a cross-region flow finishes; the remainder is
     /// handed to the destination region at the next epoch barrier.
-    RemoteEgress {
-        flow: u64,
-        /// Destination region index.
-        dst: u32,
-        tenant: u32,
-        slots: SlotHops,
-        /// Bytes the egress leg delivered.
-        handed: u64,
-        /// Bytes handed to the destination region.
-        remaining: u64,
-        /// Origin direct-path estimate, for a bounced retry.
-        direct_bps: f64,
-        rtt: SimDuration,
-        issued: SimTime,
-    },
+    RemoteEgress(Box<Egress>),
     /// The ingress leg of a flow handed off *to* this region finishes;
     /// a `Done` goes back to the origin at the next barrier.
     RemoteComplete {
@@ -482,13 +468,40 @@ enum Ev {
     Fault { idx: u32 },
 }
 
+// Every queued event fills one payload slot of the event queue, sized by
+// the largest variant, and every pop moves one out: at 56 bytes a slot is
+// 64, one cache line. Box a variant that would outgrow it, as
+// `RemoteEgress` is, rather than grow every slot.
+const _: () = assert!(
+    std::mem::size_of::<Ev>() <= 56,
+    "Ev must stay within 56 bytes"
+);
+
+/// The payload of [`Ev::RemoteEgress`], boxed so it does not set the
+/// size of every event.
+struct Egress {
+    flow: u64,
+    /// Destination region index.
+    dst: u32,
+    tenant: u32,
+    slots: SlotHops,
+    /// Bytes the egress leg delivered.
+    handed: u64,
+    /// Bytes handed to the destination region.
+    remaining: u64,
+    /// Origin direct-path estimate, for a bounced retry.
+    direct_bps: f64,
+    rtt: SimDuration,
+    issued: SimTime,
+}
+
 impl Ev {
     /// Static handler-kind label for the sim-time profiler.
     fn label(&self) -> &'static str {
         match self {
             Ev::Arrive { .. } => "arrive",
             Ev::Complete { .. } => "complete",
-            Ev::RemoteEgress { .. } => "remote_egress",
+            Ev::RemoteEgress(_) => "remote_egress",
             Ev::RemoteComplete { .. } => "remote_complete",
             Ev::Retry(_) => "retry",
             Ev::Fault { .. } => "fault",
@@ -680,7 +693,8 @@ impl LegTable {
         let (tunnel, params) = (self.tunnel, &self.params);
         self.m = exec::parallel_map(legs.len(), |k| {
             let (u, v) = legs[k];
-            let q = quality(net, &cache.route(net, u, v)?);
+            let path = cache.route_ref(net, u, v)?;
+            let q = quality(net, &path);
             Some(Leg::measure(q, k < into_relay, tunnel, params))
         });
     }
@@ -1482,17 +1496,18 @@ impl ServiceLoop {
                     f.ep.ratio_sum += ratio;
                 }
             }
-            Ev::RemoteEgress {
-                flow,
-                dst,
-                tenant,
-                slots,
-                handed,
-                remaining,
-                direct_bps,
-                rtt,
-                issued,
-            } => {
+            Ev::RemoteEgress(eg) => {
+                let Egress {
+                    flow,
+                    dst,
+                    tenant,
+                    slots,
+                    handed,
+                    remaining,
+                    direct_bps,
+                    rtt,
+                    issued,
+                } = *eg;
                 self.release(now, &slots);
                 let rc = self.remote.expect("remote event without RemoteCfg");
                 if rc.ledger {
@@ -1674,7 +1689,7 @@ impl ServiceLoop {
                 let done = now + completion_time(handed, st.bps, st.rtt);
                 self.queue.schedule(
                     done,
-                    Ev::RemoteEgress {
+                    Ev::RemoteEgress(Box::new(Egress {
                         flow: gid,
                         dst,
                         tenant,
@@ -1684,7 +1699,7 @@ impl ServiceLoop {
                         direct_bps: st.direct_bps,
                         rtt: st.direct_rtt,
                         issued: now,
-                    },
+                    })),
                 );
             }
             None => {

@@ -515,7 +515,9 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use control::{FlowRequest, WorkloadConfig};
     use faults::Invariants;
+    use simcore::{SimRng, SimTime};
 
     /// A three-region fabric small enough for unit tests: six epochs at
     /// a low rate, four slots per DC group, and a high cross-region
@@ -529,6 +531,55 @@ mod tests {
         cfg.service.workload.diurnal_period = cfg.service.workload.epoch * 6;
         cfg.service.fleet.relays = 20;
         cfg
+    }
+
+    /// `WorkloadConfig::epoch_arrivals` before its bucket order, kept as
+    /// a reference: the epoch's requests drawn in id order, then put in
+    /// `(at, id)` order by a comparison sort.
+    fn arrivals_by_comparison_sort(w: &WorkloadConfig, seed: u64, epoch: u32) -> Vec<FlowRequest> {
+        let mut rng = SimRng::seed_from(seed).fork(0xA221).fork(u64::from(epoch));
+        let start = SimTime::ZERO + w.epoch * u64::from(epoch);
+        let n = rng.poisson(w.rate_at(start + w.epoch / 2) * w.epoch.as_secs_f64());
+        let mut out: Vec<FlowRequest> = (0..n)
+            .map(|k| {
+                let at = start + w.epoch.mul_f64(rng.uniform_f64());
+                let client = rng.index(w.clients as usize) as u64;
+                let raw = rng.lognormal(w.median_flow_bytes.ln(), w.flow_sigma);
+                FlowRequest {
+                    id: (u64::from(epoch) << 32) | k,
+                    at,
+                    client,
+                    tenant: (client % u64::from(w.tenants)) as u32,
+                    bytes: (raw as u64).clamp(w.min_flow_bytes, w.max_flow_bytes),
+                }
+            })
+            .collect();
+        out.sort_unstable_by_key(|r| (r.at, r.id));
+        out
+    }
+
+    /// Every epoch the smoke, paper and planet days draw, at their own
+    /// seeds (the planet's per region), comes out in the comparison
+    /// sort's order.
+    #[test]
+    fn every_day_orders_its_arrivals_as_the_comparison_sort() {
+        let planet = ShardedConfig::planetary();
+        for seed in [7, 11] {
+            let mut days = vec![
+                (ServiceConfig::smoke().workload, seed),
+                (ServiceConfig::paper().workload, seed),
+            ];
+            days.extend(
+                (0..planet.regions)
+                    .map(|r| (planet.service.workload.clone(), region_seed(seed, r))),
+            );
+            for (w, s) in &days {
+                for e in 0..w.epochs {
+                    let want = arrivals_by_comparison_sort(w, *s, e);
+                    assert_eq!(w.epoch_arrivals(*s, e), want, "seed {s} epoch {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -252,7 +252,8 @@ pub fn evaluate(
         let into_relay = matches!(v, Waypoint::Relay(_));
         let (u, v) = (at(u), at(v));
         *memo.entry((u, v, into_relay)).or_insert_with(|| {
-            let q = quality(net, &cache.route(net, u, v)?);
+            let path = cache.route_ref(net, u, v)?;
+            let q = quality(net, &path);
             Some(Leg::measure(q, into_relay, tunnel, params))
         })
     })

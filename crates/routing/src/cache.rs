@@ -14,13 +14,15 @@
 //!    paths are computed once (again in parallel) and frozen into a map.
 //!
 //! After that the cache is read-only: [`RouteCache::route`] is a hash
-//! lookup and a clone, shared across worker threads without locks. Hit
+//! lookup and a clone ([`RouteCache::route_ref`] borrows instead), shared
+//! across worker threads without locks. Hit
 //! and miss counts are kept in relaxed atomics and are deterministic
 //! by construction — membership of the map is fixed before the query
 //! phase, so whether a given lookup hits never depends on thread
 //! scheduling. [`RouteCache::publish`] reports the totals through `obs`
 //! (`routing.route_cache.hits` / `.misses`).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,14 +127,27 @@ impl RouteCache {
     /// of thread scheduling).
     #[must_use]
     pub fn route(&self, net: &Network, src: RouterId, dst: RouterId) -> Option<RouterPath> {
+        self.route_ref(net, src, dst).map(Cow::into_owned)
+    }
+
+    /// [`RouteCache::route`] for a caller that only reads the path: a hit
+    /// borrows it from the memo instead of cloning it. Counts hits and
+    /// misses exactly as `route` does.
+    #[must_use]
+    pub fn route_ref(
+        &self,
+        net: &Network,
+        src: RouterId,
+        dst: RouterId,
+    ) -> Option<Cow<'_, RouterPath>> {
         match self.paths.get(&(src, dst)) {
             Some(path) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                path.clone()
+                path.as_ref().map(Cow::Borrowed)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.route_uncached(net, src, dst)
+                self.route_uncached(net, src, dst).map(Cow::Owned)
             }
         }
     }
@@ -234,6 +249,25 @@ mod tests {
         assert_eq!(cache.hits(), 2 * keys.len() as u64);
         assert_eq!(cache.misses(), keys.len() as u64);
         assert!(cache.hit_rate() > 0.6);
+    }
+
+    #[test]
+    fn borrowed_lookups_count_and_route_as_cloned_ones() {
+        let (net, hosts) = net_with_hosts();
+        let mut cache = RouteCache::build(&net);
+        let known = (hosts[0], hosts[1]);
+        cache.prefetch(&net, &[known]);
+        let (h, m) = (cache.hits(), cache.misses());
+        for (a, b) in [known, (hosts[2], hosts[3])] {
+            let owned = cache.route(&net, a, b);
+            let borrowed = cache.route_ref(&net, a, b);
+            assert_eq!(borrowed.as_deref(), owned.as_ref());
+        }
+        assert!(matches!(
+            cache.route_ref(&net, known.0, known.1),
+            Some(Cow::Borrowed(_))
+        ));
+        assert_eq!((cache.hits(), cache.misses()), (h + 3, m + 2));
     }
 
     #[test]

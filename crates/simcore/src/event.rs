@@ -7,6 +7,17 @@
 //! push/pop pair. Payload slots are recycled through a free list, so a
 //! steady-state simulation stops allocating once the queue reaches its
 //! high-water mark.
+//!
+//! An entry orders by its `(time, seq)` key packed into one `u128`. Keys
+//! are unique (`seq` counts schedules), so the heap has no ties and any
+//! correct heap pops the same sequence. A pop is bottom-up: the root's
+//! hole sinks to a leaf along the smallest of each node's children,
+//! chosen without branches and without comparing against the entry that
+//! will fill it; the heap's last entry then rises from that leaf. The
+//! last entry almost always belongs near the bottom, so this does about
+//! one comparison per level less than a top-down sift, and the
+//! comparisons it keeps are data-independent selects rather than
+//! mispredicted branches.
 
 use crate::SimTime;
 
@@ -45,9 +56,10 @@ struct HeapEntry {
 }
 
 impl HeapEntry {
+    /// The `(time, seq)` order as one integer: time in the high word.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
@@ -70,6 +82,15 @@ const ARITY: usize = 4;
 /// Cancellation is *lazy*: [`EventQueue::cancel`] empties the payload slot
 /// and the heap entry is discarded when it reaches the head, giving
 /// O(log n) amortized cost for all operations.
+///
+/// # How a pop works
+///
+/// Entries order by `(time, seq)`, packed into one `u128` key. A pop
+/// takes the root, lets its hole sink to a leaf along the smallest of
+/// each node's four children (picked by branch-free selects), moves the
+/// heap's last entry into that leaf and sifts it up, usually by zero or
+/// one level. Keys are unique, so this pops exactly what a top-down
+/// sift would.
 ///
 /// # Merging a batch held outside the heap
 ///
@@ -191,18 +212,9 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let head = *self.heap.first()?;
-            self.remove_head();
-            let payload = self.slots[head.slot as usize].payload.take();
-            self.free.push(head.slot);
-            if let Some(p) = payload {
-                self.live -= 1;
-                self.now = head.time;
-                return Some((head.time, p));
-            }
-            // Cancelled entry: recycle the slot and keep looking.
-        }
+        let head = self.live_head()?;
+        self.now = head.time;
+        Some((head.time, self.take_head(head)))
     }
 
     /// Drains every pending event sharing the earliest timestamp into
@@ -234,9 +246,8 @@ impl<E> EventQueue<E> {
                 break;
             }
             self.remove_head();
-            let payload = self.slots[head.slot as usize].payload.take();
             self.free.push(head.slot);
-            if let Some(p) = payload {
+            if let Some(p) = self.slots[head.slot as usize].payload.take() {
                 self.live -= 1;
                 batch.push(p);
             }
@@ -310,10 +321,12 @@ impl<E> EventQueue<E> {
                 return Some(Merged::Batch(t));
             }
         }
-        if head?.time >= end {
+        let head = head?;
+        if head.time >= end {
             return None;
         }
-        self.pop().map(|(t, e)| Merged::Queued(t, e))
+        self.now = head.time;
+        Some(Merged::Queued(head.time, self.take_head(head)))
     }
 
     /// The time of the earliest pending event, if any, without removing it.
@@ -333,6 +346,18 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// Removes `head`, the live root [`EventQueue::live_head`] just
+    /// returned, and hands back its payload.
+    fn take_head(&mut self, head: HeapEntry) -> E {
+        self.remove_head();
+        self.free.push(head.slot);
+        self.live -= 1;
+        self.slots[head.slot as usize]
+            .payload
+            .take()
+            .expect("the live head holds a payload")
+    }
+
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -345,20 +370,39 @@ impl<E> EventQueue<E> {
         self.live
     }
 
-    /// Discards the heap root, moving the last entry into its place.
+    /// Discards the heap root: its hole sinks to a leaf along the
+    /// smallest children, then the last entry fills it and sifts up.
     fn remove_head(&mut self) {
         let last = self.heap.pop().expect("remove_head on empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        let len = self.heap.len();
+        if len == 0 {
+            return;
         }
+        let heap = &mut self.heap[..];
+        let mut hole = 0;
+        loop {
+            let first = hole * ARITY + 1;
+            let min = match heap.get(first..first + ARITY) {
+                Some(kids) => first + min_of_four(kids),
+                // The one node with fewer than four children, or a leaf.
+                None => match (first..len).min_by_key(|&c| heap[c].key()) {
+                    Some(c) => c,
+                    None => break,
+                },
+            };
+            heap[hole] = heap[min];
+            hole = min;
+        }
+        heap[hole] = last;
+        self.sift_up(hole);
     }
 
     fn sift_up(&mut self, mut i: usize) {
         let entry = self.heap[i];
+        let key = entry.key();
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= entry.key() {
+            if self.heap[parent].key() < key {
                 break;
             }
             self.heap[i] = self.heap[parent];
@@ -366,29 +410,19 @@ impl<E> EventQueue<E> {
         }
         self.heap[i] = entry;
     }
+}
 
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[i];
-        loop {
-            let first = i * ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let last = (first + ARITY).min(len);
-            let mut min = first;
-            for c in first + 1..last {
-                if self.heap[c].key() < self.heap[min].key() {
-                    min = c;
-                }
-            }
-            if self.heap[min].key() >= entry.key() {
-                break;
-            }
-            self.heap[i] = self.heap[min];
-            i = min;
-        }
-        self.heap[i] = entry;
+/// The position of the smallest key among four siblings, by a
+/// tournament of selects the compiler lowers without branches.
+#[inline]
+fn min_of_four(kids: &[HeapEntry]) -> usize {
+    let k = |i: usize| kids[i].key();
+    let (a, ka) = if k(1) < k(0) { (1, k(1)) } else { (0, k(0)) };
+    let (b, kb) = if k(3) < k(2) { (3, k(3)) } else { (2, k(2)) };
+    if kb < ka {
+        b
+    } else {
+        a
     }
 }
 
@@ -477,57 +511,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), ());
         q.pop();
         q.schedule(SimTime::from_nanos(5), ());
-    }
-
-    #[test]
-    fn interleaved_schedule_pop_cancel_matches_reference() {
-        // Drive the pooled heap against a straightforward reference model.
-        let mut q = EventQueue::new();
-        let mut rng = crate::SimRng::seed_from(0x5EED);
-        let mut reference: Vec<(u64, u64, u64)> = Vec::new(); // (t, id, seq)
-        let mut handles = Vec::new();
-        let mut next_id = 0u64;
-        let mut popped = Vec::new();
-        let mut expected = Vec::new();
-        let mut now = 0u64;
-        for step in 0..2_000u64 {
-            match rng.index(10) {
-                0..=5 => {
-                    let t = now + rng.index(50) as u64;
-                    let h = q.schedule(SimTime::from_nanos(t), next_id);
-                    handles.push((h, next_id));
-                    reference.push((t, next_id, step));
-                    next_id += 1;
-                }
-                6..=7 => {
-                    if let Some((t, id)) = q.pop() {
-                        popped.push(id);
-                        now = t.as_nanos();
-                        let (pos, _) = reference
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, r)| (r.0, r.2))
-                            .map(|(i, r)| (i, *r))
-                            .unwrap();
-                        expected.push(reference.remove(pos).1);
-                    }
-                }
-                _ => {
-                    if !handles.is_empty() {
-                        let i = rng.index(handles.len());
-                        let (h, id) = handles.swap_remove(i);
-                        let in_ref = reference.iter().position(|r| r.1 == id);
-                        let cancelled = q.cancel(h);
-                        assert_eq!(cancelled, in_ref.is_some());
-                        if let Some(pos) = in_ref {
-                            reference.remove(pos);
-                        }
-                    }
-                }
-            }
-            assert_eq!(q.len(), reference.len());
-        }
-        assert_eq!(popped, expected);
     }
 
     /// `pop_batch` must yield the exact event sequence `pop` yields,
@@ -720,6 +703,150 @@ mod tests {
             batch_first > 100 && head_first > 100,
             "{batch_first} / {head_first}"
         );
+    }
+
+    /// The queue's contract in its plainest form: pending `(time, seq,
+    /// id)` entries in a list, each pop a scan for the least `(time,
+    /// seq)`.
+    #[derive(Default)]
+    struct Plain {
+        pending: Vec<(u64, u64, u32)>,
+        next_seq: u64,
+    }
+
+    impl Plain {
+        fn schedule(&mut self, t: u64, id: u32) {
+            self.pending.push((t, self.next_seq, id));
+            self.next_seq += 1;
+        }
+
+        fn cancel(&mut self, id: u32) -> bool {
+            let i = self.pending.iter().position(|e| e.2 == id);
+            i.map(|i| self.pending.swap_remove(i)).is_some()
+        }
+
+        fn head(&self) -> Option<(u64, u64, u32)> {
+            self.pending.iter().copied().min_by_key(|e| (e.0, e.1))
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let (t, _, id) = self.head()?;
+            self.cancel(id);
+            Some((t, id))
+        }
+    }
+
+    /// Batch event ids of the differential below carry this bit.
+    const BATCH: u32 = 1 << 31;
+
+    /// Thousands of seeded sequences mixing `schedule`, `cancel`, `pop`,
+    /// `pop_batch` and `pop_merged_before` with marks, on few distinct
+    /// timestamps, deliver exactly what [`Plain`] delivers. A merged
+    /// batch goes into [`Plain`] at its mark. The pops meet every heap
+    /// length mod 4, so the last parent has one to four children.
+    #[test]
+    fn every_pop_matches_the_plain_reference() {
+        let mut residues = [0u32; ARITY];
+        let mut ties = 0u32;
+        for seed in 0..3_000 {
+            let mut rng = crate::SimRng::seed_from(seed);
+            let width = [1, 2, 8, 200][rng.index(4)];
+            let mut q = EventQueue::new();
+            let mut plain = Plain::default();
+            let mut handles = Vec::new();
+            let schedule = |q: &mut EventQueue<u32>,
+                            plain: &mut Plain,
+                            handles: &mut Vec<EventHandle>,
+                            t: u64| {
+                let id = handles.len() as u32;
+                handles.push(q.schedule(SimTime::from_nanos(t), id));
+                plain.schedule(t, id);
+            };
+            for _ in 0..rng.index(80) {
+                let t = rng.index(width) as u64;
+                schedule(&mut q, &mut plain, &mut handles, t);
+            }
+            for _ in 0..200 {
+                let now = q.now().as_nanos();
+                if q.heap.len() > ARITY + 1 {
+                    residues[q.heap.len() % ARITY] += 1;
+                }
+                match rng.index(12) {
+                    0..=4 => {
+                        let t = now + rng.index(width) as u64;
+                        schedule(&mut q, &mut plain, &mut handles, t);
+                    }
+                    5 | 6 if !handles.is_empty() => {
+                        let id = rng.index(handles.len());
+                        assert_eq!(q.cancel(handles[id]), plain.cancel(id as u32));
+                    }
+                    7 | 8 => {
+                        let got = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                        assert_eq!(got, plain.pop(), "seed {seed}");
+                    }
+                    9 | 10 => {
+                        let mut batch = Vec::new();
+                        let got = q.pop_batch(&mut batch).map(SimTime::as_nanos);
+                        let t = plain.head().map(|h| h.0);
+                        assert_eq!(got, t, "seed {seed}");
+                        let mut want = Vec::new();
+                        while plain.head().is_some_and(|h| Some(h.0) == t) {
+                            want.push(plain.pop().expect("head").1);
+                        }
+                        ties += u32::from(want.len() > 1);
+                        assert_eq!(batch, want, "seed {seed}");
+                    }
+                    _ => {
+                        let mut batch: Vec<u64> = (0..rng.index(6))
+                            .map(|_| now + rng.index(width) as u64)
+                            .collect();
+                        batch.sort_unstable();
+                        let mark = q.mark();
+                        for (i, &t) in batch.iter().enumerate() {
+                            plain.schedule(t, BATCH | i as u32);
+                        }
+                        // Past the batch's last event, so the merge drains it.
+                        let end = (now + 1 + rng.index(2 * width) as u64)
+                            .max(batch.last().map_or(0, |&t| t + 1));
+                        let end_at = SimTime::from_nanos(end);
+                        let mut next = 0;
+                        loop {
+                            let want = match plain.head() {
+                                Some(h) if h.0 < end => plain.pop(),
+                                _ => None,
+                            };
+                            let at = batch.get(next).map(|&t| SimTime::from_nanos(t));
+                            let got = match q.pop_merged_before(end_at, at, mark) {
+                                Some(Merged::Queued(t, id)) => Some((t.as_nanos(), id)),
+                                Some(Merged::Batch(t)) => {
+                                    next += 1;
+                                    Some((t.as_nanos(), BATCH | (next - 1) as u32))
+                                }
+                                None => None,
+                            };
+                            assert_eq!(got, want, "seed {seed}");
+                            let Some((t, _)) = got else { break };
+                            assert_eq!(q.now().as_nanos(), t);
+                            if rng.index(3) == 0 {
+                                let t = t + rng.index(2) as u64;
+                                schedule(&mut q, &mut plain, &mut handles, t);
+                            }
+                        }
+                        assert_eq!(next, batch.len(), "seed {seed}");
+                    }
+                }
+                assert_eq!(q.len(), plain.pending.len(), "seed {seed}");
+            }
+            loop {
+                let got = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                assert_eq!(got, plain.pop(), "seed {seed} tail");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+        assert!(residues.iter().all(|&n| n > 10_000), "{residues:?}");
+        assert!(ties > 1_000, "{ties} same-tick batches");
     }
 
     #[test]
