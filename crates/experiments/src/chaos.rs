@@ -618,6 +618,65 @@ mod tests {
         );
     }
 
+    /// Crashes every relay one second into each epoch and restores it
+    /// a minute later, so some flows admitted late in an epoch die in
+    /// the next one. A killed flow's retry looks its pair up in the
+    /// epoch its id names, not the running one, and the digests pin the
+    /// retries that lookup gives.
+    #[test]
+    fn a_kill_after_an_epoch_boundary_retries_on_its_own_epochs_pair() {
+        let mut cfg = ChaosConfig::smoke();
+        cfg.service.workload.epochs = 6;
+        cfg.service.workload.diurnal_period = cfg.service.workload.epoch * 6;
+        // Long flows, so some still ride a relay at the next boundary.
+        cfg.service.workload.median_flow_bytes = 100e6;
+        cfg.service.workload.max_flow_bytes = 1 << 30;
+        cfg.faults.horizon = cfg.service.workload.horizon();
+        let epoch = cfg.service.workload.epoch;
+        let mut events = Vec::new();
+        for e in 1..6 {
+            let start = SimTime::ZERO + epoch * e;
+            for relay in 0..cfg.faults.relays {
+                events.push(faults::FaultEvent {
+                    at: start + SimDuration::from_secs(1),
+                    kind: FaultKind::RelayCrash { relay },
+                });
+            }
+            for relay in 0..cfg.faults.relays {
+                events.push(faults::FaultEvent {
+                    at: start + SimDuration::from_secs(61),
+                    kind: FaultKind::RelayRestore { relay },
+                });
+            }
+        }
+        let schedule = FaultSchedule::from_events(events, cfg.faults.mttr_cap)
+            .expect("paired crashes and restores are well formed");
+        let r = chaos_with_schedule(&cfg, 7, &schedule);
+        assert_eq!(r.span_dropped, 0);
+        assert!(
+            r.invariant_violations.is_empty(),
+            "{:?}",
+            r.invariant_violations
+        );
+        // A kill's epoch is the one its crash fell in; the flow's is the
+        // high word of its id.
+        let kills: Vec<&obs::SpanRecord> = r
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::FlowKill)
+            .collect();
+        let cross = kills
+            .iter()
+            .filter(|s| s.subject >> 32 < s.t_ns / epoch.as_nanos())
+            .count();
+        assert!(cross > 0, "no kill reached a flow from an earlier epoch");
+        assert_eq!((kills.len(), cross), (7, 2));
+        assert_eq!(r.retries, r.killed);
+        let rows: Vec<String> = r.spans.iter().map(obs::SpanRecord::to_tsv).collect();
+        assert_eq!(fnv1a(&rows.join("\n")), 0xe05e_aa6f_a8c0_5579);
+        assert_eq!(fnv1a(&r.to_tsv()), 0x7ce8_8776_640a_9ec2);
+    }
+
     #[test]
     fn availability_dips_when_relays_crash() {
         let r = chaos(&tiny_cfg(), 7);

@@ -26,8 +26,7 @@
 //! The run is a pure function of `(config, seed)` at any `--threads N`:
 //!
 //! * each epoch's arrivals come from its `(seed, epoch)` substream,
-//!   generated at the top of that epoch (a plain run frees them when the
-//!   epoch ends);
+//!   generated at the top of that epoch and freed when it ends;
 //! * per-epoch path truth measures each overlay leg once — its path
 //!   quality and its own TCP loop's rate — one work unit per leg over a
 //!   read-only [`RouteCache`], merged in table order; the pairs'
@@ -414,6 +413,12 @@ impl SlotHops {
             .iter()
             .map(|&s| s.into())
     }
+
+    /// The slots widened on the stack, with their count, for a callee
+    /// that takes a slice.
+    fn widened(&self) -> ([usize; 3], usize) {
+        (self.slots.map(usize::from), self.len())
+    }
 }
 
 /// Claims one slot per hop group, in traversal order.
@@ -427,10 +432,11 @@ fn claim_slots(fleet: &mut Fleet, hops: &Hops) -> SlotHops {
 
 /// A flow-level or fault discrete event.
 enum Ev {
-    /// Arrival `idx` of `epoch` reaches the broker. Never queued: an
-    /// epoch's arrivals are delivered from a cursor merged with the
-    /// queue (`ServiceLoop::run_epoch`) and dispatched as this event.
-    Arrive { epoch: u32, idx: u32 },
+    /// Arrival `idx` of the running epoch reaches the broker. Never
+    /// queued: an epoch's arrivals are delivered from a cursor merged
+    /// with the queue (`ServiceLoop::run_epoch`) and dispatched as this
+    /// event.
+    Arrive { idx: u32 },
     /// An admitted flow (a segment of it, after a kill) finishes.
     Complete {
         flow: u64,
@@ -884,7 +890,8 @@ impl SpanLog {
 }
 
 /// The fault side of a run under a schedule: the nemesis's state, the
-/// invariant checker, the kill index and the causal span log.
+/// invariant checker, the kill index, the retry pairs and the causal
+/// span log.
 struct Nemesis {
     schedule: FaultSchedule,
     /// Application-layer failure detection delay of a killed flow.
@@ -897,6 +904,14 @@ struct Nemesis {
     /// Relay-holding segments in flight, by ascending flow id: crash
     /// kill order is deterministic.
     in_flight: BTreeMap<u64, InFlight>,
+    /// Per generated epoch, the pair index of each arrival in the
+    /// epoch's `(at, id)` order. A killed flow retries on
+    /// `retry_pairs[flow >> 32][flow & 0xFFFF_FFFF]`: the id's low word
+    /// is the flow's generation sequence, read as a position in the
+    /// time-sorted epoch, so this is usually another arrival's pair.
+    /// The chaos goldens pin that lookup; the epoch's arrivals
+    /// themselves are freed when it ends, as in a plain run.
+    retry_pairs: Vec<Vec<u32>>,
     /// Open link-degradation windows: salt → (victim, severity floor).
     degraded: BTreeMap<u64, (LinkId, f64)>,
     blackhole_depth: u32,
@@ -923,6 +938,7 @@ impl Nemesis {
                 .collect(),
             inv: Invariants::new(cfg.service.fleet.relays, schedule.mttr_cap()),
             in_flight: BTreeMap::new(),
+            retry_pairs: vec![Vec::new(); cfg.service.workload.epochs as usize],
             degraded: BTreeMap::new(),
             blackhole_depth: 0,
             log: SpanLog::new(),
@@ -966,10 +982,9 @@ pub(crate) struct ServiceLoop {
     /// The workload seed: epoch `e`'s arrivals are generated at the top
     /// of epoch `e`.
     seed: u64,
-    /// Arrivals by epoch. A plain run holds only the running epoch's; a
-    /// fault run keeps every generated epoch, because a killed flow's
-    /// retry reads its pair from its own epoch's arrivals.
-    arrivals_by_epoch: Vec<Vec<FlowRequest>>,
+    /// The running epoch's arrivals, in `(at, id)` order; empty between
+    /// epochs.
+    arrivals: Vec<FlowRequest>,
     total_arrivals: u64,
     broker: Broker,
     fleet: Fleet,
@@ -1067,7 +1082,7 @@ impl ServiceLoop {
             truth: Vec::new(),
             ptruth: Vec::new(),
             seed,
-            arrivals_by_epoch: vec![Vec::new(); epochs as usize],
+            arrivals: Vec::new(),
             total_arrivals: 0,
             broker,
             fleet,
@@ -1163,9 +1178,16 @@ impl ServiceLoop {
                 self.broker.observe(pi, epoch_start, truth.clone());
             }
         }
-        let arrivals = self.cfg.workload.epoch_arrivals(self.seed, e);
-        self.total_arrivals += arrivals.len() as u64;
-        self.arrivals_by_epoch[e as usize] = arrivals;
+        self.arrivals = self.cfg.workload.epoch_arrivals(self.seed, e);
+        self.total_arrivals += self.arrivals.len() as u64;
+        if let Some(f) = self.faults.as_deref_mut() {
+            let n = self.pairs.len();
+            f.retry_pairs[e as usize] = self
+                .arrivals
+                .iter()
+                .map(|r| pair_of(r.client, n) as u32)
+                .collect();
+        }
         // The arrivals stay out of the queue. They merge with it from a
         // cursor as if scheduled here, in their (at, id) order: on equal
         // timestamps they follow what is already queued and precede the
@@ -1182,22 +1204,18 @@ impl ServiceLoop {
         }
         let mut next = 0;
         loop {
-            let at = self.arrivals_by_epoch[e as usize].get(next).map(|r| r.at);
+            let at = self.arrivals.get(next).map(|r| r.at);
             match self.queue.pop_merged_before(epoch_end, at, mark) {
                 Some(Merged::Queued(now, ev)) => self.handle(now, ev),
                 Some(Merged::Batch(now)) => {
                     let idx = next as u32;
                     next += 1;
-                    self.handle(now, Ev::Arrive { epoch: e, idx });
+                    self.handle(now, Ev::Arrive { idx });
                 }
                 None => break,
             }
         }
-        assert_eq!(
-            next,
-            self.arrivals_by_epoch[e as usize].len(),
-            "arrivals timed past their epoch"
-        );
+        assert_eq!(next, self.arrivals.len(), "arrivals timed past their epoch");
 
         self.fleet
             .accrue(epoch_end.saturating_duration_since(self.billed_to));
@@ -1211,7 +1229,7 @@ impl ServiceLoop {
         let b1 = self.broker.stats();
         let row = EpochRow {
             epoch: e,
-            arrivals: self.arrivals_by_epoch[e as usize].len() as u64,
+            arrivals: self.arrivals.len() as u64,
             overlay: b1.overlay - b0.overlay,
             direct: b1.direct - b0.direct,
             denied: b1.denied - b0.denied,
@@ -1266,13 +1284,13 @@ impl ServiceLoop {
             f.log.close_window();
         } else {
             // Only a fault run's post-horizon retries price on the last
-            // epoch's truth; a plain run frees it between epochs. Its
-            // arrivals go too: every one is timed before `epoch_end`, so
-            // the merge has delivered all of them.
+            // epoch's truth; a plain run frees it between epochs.
             self.truth.clear();
             self.ptruth.clear();
-            self.arrivals_by_epoch[e as usize] = Vec::new();
         }
+        // Every arrival is timed before `epoch_end`, so the merge has
+        // delivered all of them.
+        self.arrivals = Vec::new();
     }
 
     /// Drains every event past the horizon. Flows admitted near the
@@ -1411,8 +1429,8 @@ impl ServiceLoop {
             }
         }
         match ev {
-            Ev::Arrive { epoch, idx } => {
-                let req = self.arrivals_by_epoch[epoch as usize][idx as usize];
+            Ev::Arrive { idx } => {
+                let req = self.arrivals[idx as usize];
                 let pi = pair_of(req.client, self.pairs.len());
                 let mut parent = 0;
                 if let Some(f) = self.faults.as_deref_mut() {
@@ -1673,8 +1691,8 @@ impl ServiceLoop {
             }
             f.inv.context(now, span);
             if self.multihop {
-                f.inv
-                    .flow_admitted_path(flow, &slots.iter().collect::<Vec<_>>());
+                let (hops, n) = slots.widened();
+                f.inv.flow_admitted_path(flow, &hops[..n]);
             } else {
                 f.inv.flow_admitted(flow, slots.first());
             }
@@ -1823,13 +1841,8 @@ impl ServiceLoop {
                     f.inv.flow_killed(flow, delivered);
                     f.killed += 1;
                     f.ep.killed += 1;
-                    // The retry's pair: the id's low word is the flow's
-                    // generation sequence, read as a position in its
-                    // epoch's time-sorted arrivals — usually another
-                    // arrival's pair. The chaos goldens pin this mapping.
-                    let req = &self.arrivals_by_epoch[(flow >> 32) as usize]
-                        [(flow & 0xFFFF_FFFF) as usize];
-                    let pair = pair_of(req.client, self.pairs.len()) as u32;
+                    // The retry's pair: see `Nemesis::retry_pairs`.
+                    let pair = f.retry_pairs[(flow >> 32) as usize][(flow & 0xFFFF_FFFF) as usize];
                     self.queue.schedule(
                         now + f.detect_after,
                         Ev::Retry(Killed {
