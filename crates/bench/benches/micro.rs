@@ -282,7 +282,7 @@ fn bench_shard_barrier() -> f64 {
 }
 
 /// The CI-sized planetary service (8 regions, 4 shard lanes): the
-/// end-to-end number `cronets service --planet --smoke --shards 4`
+/// end-to-end number `cronets service --planet --smoke --threads 4`
 /// pays, cross-region handoffs and budget reconciliation included.
 fn bench_service_smoke_sharded() -> f64 {
     let cfg = ShardedConfig::planetary_smoke();

@@ -12,8 +12,8 @@
 //!   in the origin region, then hands the remainder off to the
 //!   destination region (`Handoff`), which either completes it
 //!   (`Done`) or bounces it back for a direct retry (`Retry`).
-//!   Destinations are hierarchical `NodeAddr` values in raw `u32` form
-//!   (see `routing::addr`), resolved to a shard by geo-prefix lookup.
+//!   Every message names its receiving region by index: a handoff by
+//!   `dst`, a reply by `origin`.
 //! * [`merge_spend_bits`] — the budget reconciler's spend rollup.
 //!   Adding region spends in a float-order-dependent way would make
 //!   the rollup depend on the merge schedule, so regions are folded in
@@ -38,8 +38,7 @@ pub enum ShardMsg {
     Handoff {
         /// Flow id (globally unique: region index is folded in).
         flow: u64,
-        /// Destination `NodeAddr` in raw form; the engine resolves the
-        /// owning shard by geo-prefix lookup.
+        /// Destination region index.
         dst: u32,
         /// Origin region index (reply address).
         origin: u32,

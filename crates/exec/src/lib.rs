@@ -24,11 +24,15 @@
 //!   the schedule. Sim-time profile charges are additive, so worker
 //!   profiles merge commutatively after join.
 //!
+//! [`shard_rounds`] drives stateful shards through barrier-synchronized
+//! rounds; each round's shard-steps are units of the same fan-out.
+//!
 //! The pool size comes from [`threads`]: the `--threads N` CLI flag (via
 //! [`set_threads`]) or `std::thread::available_parallelism` by default.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// Configured worker count; 0 means "use available parallelism".
@@ -82,8 +86,24 @@ where
     } else {
         threads().min(n_units).max(1)
     };
+    fan_out(n_units, workers, false, f)
+}
+
+/// The one fan-out behind [`parallel_map`] and [`shard_rounds`]: runs
+/// `f(0..n_units)` inline on the caller when `workers` is 1, else on
+/// `workers` scoped threads pulling indices from an atomic counter, and
+/// returns the results in unit-index order. With `obs` collection on,
+/// every unit runs under [`obs::capture_unit`] and the shards absorb in
+/// unit order on the calling thread. Worker threads inherit the caller's
+/// trace filter and profiling switch; their profile shards merge after
+/// join. `lanes` marks the workers as shard lanes, inside which nested
+/// [`parallel_map`] calls run inline.
+fn fan_out<T, F>(n_units: usize, workers: usize, lanes: bool, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let sharded = obs::enabled();
-    let profiling = simcore::profile::enabled();
     if workers == 1 {
         if sharded {
             // Same capture/merge path as the parallel case, so the
@@ -103,6 +123,7 @@ where
         return (0..n_units).map(f).collect();
     }
 
+    let profiling = simcore::profile::enabled();
     let next = AtomicUsize::new(0);
     let trace_filter = obs::trace_filter();
     let mut tagged: Vec<(usize, T, Option<obs::UnitShard>)> = Vec::with_capacity(n_units);
@@ -112,6 +133,7 @@ where
                 let next = &next;
                 let f = &f;
                 scope.spawn(move || {
+                    INLINE.with(|c| c.set(lanes));
                     if sharded {
                         // Workers are fresh threads: propagate the trace
                         // filter so units see the caller's selection.
@@ -174,15 +196,14 @@ where
 /// messages still in flight after the last round are dropped, so
 /// callers must size `rounds` to drain their protocol.
 ///
-/// Shards are multiplexed onto `lanes` worker threads (clamped to
-/// `[1, n]`) by static assignment: lane `l` owns shards `l, l+lanes,
-/// l+2·lanes, …` and steps them in increasing index order. Telemetry
-/// follows the [`parallel_map`] contract — with collection on, each
-/// shard-step runs under [`obs::capture_unit`] and the shards are
-/// absorbed in shard-index order at the barrier — and nested
-/// [`parallel_map`] calls inside a lane run inline, so the result,
-/// metrics and traces are byte-identical for any `(lanes, threads)`
-/// combination.
+/// A round's shard-steps are the units of [`parallel_map`]'s fan-out,
+/// on `lanes` worker threads (clamped to `[1, n]`), with the same
+/// telemetry contract: with collection on, each shard-step runs under
+/// [`obs::capture_unit`] and the shards absorb in shard-index order. At
+/// one lane the steps run inline on the caller, and nested
+/// [`parallel_map`] calls use the full pool; on several lanes nested
+/// calls run inline. The result, metrics and traces are byte-identical
+/// for any `(lanes, threads)` combination.
 ///
 /// # Panics
 ///
@@ -202,100 +223,26 @@ where
     B: FnMut(usize, &mut [S]),
 {
     let n = states.len();
-    if n == 0 {
-        return states;
-    }
-    let lanes = lanes.clamp(1, n);
+    let lanes = lanes.min(n).max(1);
     let mut inboxes: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
     for round in 0..rounds {
-        let sharded = obs::enabled();
-        let mut outboxes: Vec<Vec<(usize, M)>> = Vec::with_capacity(n);
-        if lanes == 1 {
-            // Inline on the caller; nested parallel_map still uses the
-            // full pool. Capture per shard when telemetry is on so the
-            // stream is identical to the multi-lane path.
-            let mut shards = Vec::with_capacity(n);
-            for (i, (state, inbox)) in states.iter_mut().zip(&mut inboxes).enumerate() {
-                let inbox = std::mem::take(inbox);
-                if sharded {
-                    let (out, shard) = obs::capture_unit(|| step(i, state, round, inbox));
-                    outboxes.push(out);
-                    shards.push(shard);
-                } else {
-                    outboxes.push(step(i, state, round, inbox));
-                }
-            }
-            for shard in shards {
-                obs::absorb_unit(shard);
-            }
-        } else {
-            // Static assignment: lane l owns shards l, l+lanes, … — the
-            // partition is a pure function of (n, lanes), never of the
-            // schedule.
-            let mut lane_work: Vec<Vec<(usize, S, Vec<M>)>> =
-                (0..lanes).map(|_| Vec::new()).collect();
-            for (i, (state, inbox)) in states.drain(..).zip(inboxes.drain(..)).enumerate() {
-                lane_work[i % lanes].push((i, state, inbox));
-            }
-            let trace_filter = obs::trace_filter();
-            let profiling = simcore::profile::enabled();
-            type Stepped<S, M> = (usize, S, Vec<(usize, M)>, Option<obs::UnitShard>);
-            let mut tagged: Vec<Stepped<S, M>> = Vec::with_capacity(n);
-            thread::scope(|scope| {
-                let handles: Vec<_> = lane_work
-                    .drain(..)
-                    .map(|work| {
-                        let step = &step;
-                        scope.spawn(move || {
-                            INLINE.with(|c| c.set(true));
-                            if sharded {
-                                obs::set_trace_filter(trace_filter);
-                            }
-                            simcore::profile::set_enabled(profiling);
-                            let mut local = Vec::with_capacity(work.len());
-                            for (i, mut state, inbox) in work {
-                                if sharded {
-                                    let (out, shard) =
-                                        obs::capture_unit(|| step(i, &mut state, round, inbox));
-                                    local.push((i, state, out, Some(shard)));
-                                } else {
-                                    let out = step(i, &mut state, round, inbox);
-                                    local.push((i, state, out, None));
-                                }
-                            }
-                            let prof = profiling.then(simcore::profile::take_shard);
-                            (local, prof)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        Ok((part, prof)) => {
-                            tagged.extend(part);
-                            if let Some(prof) = prof {
-                                simcore::profile::merge_shard(&prof);
-                            }
-                        }
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-            tagged.sort_unstable_by_key(|&(i, ..)| i);
-            inboxes = (0..n).map(|_| Vec::new()).collect();
-            for (_, state, out, shard) in tagged {
-                if let Some(shard) = shard {
-                    obs::absorb_unit(shard);
-                }
-                states.push(state);
-                outboxes.push(out);
-            }
-        }
+        // Each step locks only its own shard, once: the locks hand out
+        // `&mut` access across the fan-out and never contend.
+        let cells: Vec<Mutex<(&mut S, Vec<M>)>> = states
+            .iter_mut()
+            .zip(&mut inboxes)
+            .map(|(state, inbox)| Mutex::new((state, std::mem::take(inbox))))
+            .collect();
+        let outboxes = fan_out(n, lanes, lanes > 1, |i| {
+            let mut cell = cells[i].lock().expect("locked once, never poisoned");
+            let (state, inbox) = &mut *cell;
+            step(i, state, round, std::mem::take(inbox))
+        });
+        drop(cells);
         // Route in shard-index order: inbox order is (sender, emission).
-        for out in &mut outboxes {
-            for (dst, msg) in out.drain(..) {
-                assert!(dst < n, "shard message addressed to unknown shard {dst}");
-                inboxes[dst].push(msg);
-            }
+        for (dst, msg) in outboxes.into_iter().flatten() {
+            assert!(dst < n, "shard message addressed to unknown shard {dst}");
+            inboxes[dst].push(msg);
         }
         barrier(round, &mut states);
     }
@@ -305,7 +252,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use simcore::SimRng;
 
     /// Serializes tests that touch the global thread count or obs state.
     static LOCK: Mutex<()> = Mutex::new(());
@@ -401,72 +348,132 @@ mod tests {
         set_threads(0);
     }
 
-    /// A ring workload: each shard forwards an accumulating token to
-    /// the next shard every round and folds received tokens into its
-    /// state. The final states depend on message ordering, so any
-    /// routing nondeterminism would show up immediately.
-    fn ring(n: usize, lanes: usize, rounds: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut barrier_log = Vec::new();
-        let states = shard_rounds(
-            vec![0u64; n],
-            lanes,
-            rounds,
-            |i, s, round, inbox| {
-                for m in inbox {
-                    *s = s.wrapping_mul(31).wrapping_add(m);
-                }
-                vec![((i + 1) % n, (i as u64) << 8 | round as u64)]
-            },
-            |round, states| barrier_log.push(round as u64 + states.iter().sum::<u64>()),
-        );
-        (states, barrier_log)
-    }
-
-    #[test]
-    fn shard_rounds_is_lane_invariant() {
-        let _g = guard();
-        set_threads(8);
-        let baseline = ring(16, 1, 6);
-        for lanes in [2, 3, 8, 16, 64] {
-            assert_eq!(ring(16, lanes, 6), baseline, "lanes={lanes}");
+    /// The plain serial engine [`shard_rounds`] must equal: every shard
+    /// steps in index order, the messages route in sender order, then
+    /// the barrier runs.
+    fn serial_rounds<S, M>(
+        mut states: Vec<S>,
+        rounds: usize,
+        step: impl Fn(usize, &mut S, usize, Vec<M>) -> Vec<(usize, M)>,
+        mut barrier: impl FnMut(usize, &mut [S]),
+    ) -> Vec<S> {
+        let mut inboxes: Vec<Vec<M>> = states.iter().map(|_| Vec::new()).collect();
+        for round in 0..rounds {
+            let mut sent = Vec::new();
+            for (i, state) in states.iter_mut().enumerate() {
+                sent.extend(step(i, state, round, std::mem::take(&mut inboxes[i])));
+            }
+            for (dst, msg) in sent {
+                inboxes[dst].push(msg);
+            }
+            barrier(round, &mut states);
         }
-        set_threads(0);
+        states
     }
 
-    #[test]
-    fn shard_rounds_metrics_are_lane_invariant() {
-        let _g = guard();
-        let run = |lanes: usize, threads: usize| {
-            set_threads(threads);
+    /// One seeded message pattern over `n` shards. A step folds its
+    /// inbox into its state in order, records a counter, a gauge, a
+    /// trace record and a nested [`parallel_map`], then sends up to
+    /// three messages to shards drawn from `(seed, shard, round,
+    /// state)`, itself included.
+    fn pattern(
+        seed: u64,
+        n: usize,
+    ) -> impl Fn(usize, &mut u64, usize, Vec<u64>) -> Vec<(usize, u64)> + Sync {
+        move |i, s, round, inbox| {
+            for m in inbox {
+                *s = s.wrapping_mul(31).wrapping_add(m);
+            }
+            obs::add_named("exec.ref.steps", 1);
+            obs::set(obs::gauge("exec.ref.last"), (i * 100 + round) as f64);
+            obs::trace(*s, 3, obs::TraceKind::SegmentSent, i as u64, round as u64);
+            let cur = *s;
+            *s ^= parallel_map(3, |k| {
+                obs::add_named("exec.ref.nested", k as u64);
+                cur.rotate_left(k as u32 + 1)
+            })
+            .iter()
+            .fold(0, |a, &x| a ^ x);
+            let mut rng = SimRng::seed_from(seed)
+                .fork((i * 8 + round) as u64)
+                .fork(*s);
+            let sends = rng.index(4);
+            (0..sends)
+                .map(|_| (rng.index(n), rng.next_u64() >> 8))
+                .collect()
+        }
+    }
+
+    /// What one pattern run leaves: final states, barrier log, and with
+    /// `obs` on the snapshot and trace.
+    type Observed = (
+        Vec<u64>,
+        Vec<(usize, u64)>,
+        (String, (Vec<obs::TraceRecord>, u64)),
+    );
+
+    /// Runs one pattern on [`shard_rounds`] at `lanes`, or with `None`
+    /// on the serial reference.
+    fn observe(
+        seed: u64,
+        n: usize,
+        rounds: usize,
+        lanes: Option<usize>,
+        metrics: bool,
+    ) -> Observed {
+        if metrics {
             obs::enable();
-            let states = shard_rounds(
-                vec![0u64; 12],
-                lanes,
-                4,
-                |i, s, _round, inbox| {
-                    obs::add_named("exec.shard.steps", 1);
-                    // Nested parallel_map inside a lane must stay
-                    // deterministic (and runs inline on lane threads).
-                    let sum: u64 = parallel_map(4, |k| (i + k) as u64).iter().sum();
-                    *s += sum + inbox.len() as u64;
-                    vec![((i + 5) % 12, i as u64)]
-                },
-                |_, _| {},
-            );
-            let snap = obs::snapshot().to_tsv();
-            obs::disable();
-            (states, snap)
+            obs::set_trace_filter(Some(3));
+        }
+        let mut log = Vec::new();
+        let barrier = |round: usize, states: &mut [u64]| {
+            log.push((round, states.iter().fold(0, |a, &s| a ^ s)));
+            for s in states {
+                *s = s.wrapping_add(round as u64 + 1);
+            }
         };
-        let baseline = run(1, 1);
-        for (lanes, threads) in [(1, 8), (4, 1), (4, 8), (12, 8)] {
-            assert_eq!(
-                run(lanes, threads),
-                baseline,
-                "lanes={lanes} threads={threads}"
-            );
+        let states = match lanes {
+            Some(lanes) => shard_rounds(vec![0; n], lanes, rounds, pattern(seed, n), barrier),
+            None => serial_rounds(vec![0; n], rounds, pattern(seed, n), barrier),
+        };
+        let telemetry = if metrics {
+            let out = (obs::snapshot().to_tsv(), obs::drain_trace());
+            obs::disable();
+            out
+        } else {
+            Default::default()
+        };
+        (states, log, telemetry)
+    }
+
+    #[test]
+    fn shard_rounds_matches_a_serial_loop_on_random_patterns() {
+        let _g = guard();
+        let mut rng = SimRng::seed_from(0x5EED);
+        for _ in 0..20 {
+            let n = 1 + rng.index(20);
+            let rounds = rng.index(7);
+            let seed = rng.next_u64();
+            for metrics in [false, true] {
+                set_threads(1);
+                let want = observe(seed, n, rounds, None, metrics);
+                for lanes in [1, 2, 3, n, n + 5] {
+                    for threads in [1, 4] {
+                        set_threads(threads);
+                        let got = observe(seed, n, rounds, Some(lanes), metrics);
+                        assert_eq!(
+                            got, want,
+                            "n={n} rounds={rounds} lanes={lanes} threads={threads} metrics={metrics}"
+                        );
+                    }
+                }
+                if metrics && rounds > 0 {
+                    let steps = format!("exec.ref.steps\tcounter\t{}", n * rounds);
+                    assert!(want.2 .0.contains(&steps), "{}", want.2 .0);
+                }
+            }
         }
         set_threads(0);
-        assert!(baseline.1.contains("exec.shard.steps\tcounter\t48"));
     }
 
     #[test]
@@ -491,15 +498,6 @@ mod tests {
             all.extend(&round);
             all
         });
-        set_threads(0);
-    }
-
-    #[test]
-    fn shard_rounds_barrier_sees_every_round() {
-        let _g = guard();
-        set_threads(2);
-        let (_, log) = ring(4, 2, 5);
-        assert_eq!(log.len(), 5);
         set_threads(0);
     }
 

@@ -22,7 +22,7 @@
 //! | [`multihop`] | §VII-B generalized: k-hop chains with online-bandit selection vs static/OLIA on the Fig. 12/13 flows, clean and under faults |
 //! | [`fuzzing`] | coverage-guided fault-schedule fuzzing of the chaos loop, with delta-debugged repros (`cronets fuzz`) |
 //! | [`soak`] | week-of-simulated-time chaos soak, checkpoint-resumable and byte-deterministic (`cronets soak`) |
-//! | [`sharded`] | the control plane at planetary scale: per-region shards with parallel brokers, hierarchical addressing, and epoch-barriered global reconciliation (`--planet`, `--shards`) |
+//! | [`sharded`] | the control plane at planetary scale: per-region shards with parallel brokers on `--threads` lanes, and epoch-barriered global reconciliation (`--planet`) |
 //!
 //! Every experiment is deterministic in its seed, returns a typed result,
 //! and knows how to render itself as the rows/series of the original

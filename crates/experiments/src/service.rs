@@ -63,7 +63,7 @@ use obs::SpanKind;
 use paths::{
     relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops, Waypoint,
 };
-use routing::{NodeAddr, RouteCache};
+use routing::RouteCache;
 use simcore::rng::mix64;
 use simcore::{EventHandle, EventQueue, Merged, SimDuration, SimTime};
 use topology::{LinkId, Network, RouterId};
@@ -1537,7 +1537,7 @@ impl ServiceLoop {
                 self.handoffs += 1;
                 self.outbox.push(ShardMsg::Handoff {
                     flow,
-                    dst: NodeAddr::region_gateway(dst as u8).raw(),
+                    dst,
                     origin: rc.region,
                     tenant,
                     remaining,

@@ -1,48 +1,46 @@
 //! The sharded control plane: parallel per-region brokers behind
-//! epoch-barriered, hierarchically-addressed mailboxes.
+//! epoch-barriered mailboxes.
 //!
 //! The classic [`crate::service`] loop is one broker, one fleet, one SLO
-//! ledger and one workload stream — fine for the paper's five relays,
-//! hopeless at planetary scale where a single grouped fleet pays a full
-//! group scan per admission probe. This module splits the control plane
-//! in two:
+//! ledger and one workload stream. This module splits the control plane
+//! per region, which at one lane runs the planetary estate ≈1.6× faster
+//! than the same estate folded into one region (DESIGN.md §16): each
+//! region's state is small and its own. The split has two layers:
 //!
 //! * a **shard-local decision layer** — one `ServiceLoop` per region,
 //!   owning its broker, grouped fleet, SLO ledger, probe cache, workload
 //!   substream and RNG stream, stepped one epoch per round on
 //!   [`exec::shard_rounds`] worker lanes;
 //! * a **global reconciliation layer** — the barrier closure, run on the
-//!   calling thread between rounds: it routes cross-region messages by
-//!   [`GeoTable`] longest-prefix lookup over hierarchical [`NodeAddr`]
-//!   destinations, and reconciles the cloud budget by folding per-region
-//!   spends in region order over exact `f64` bit patterns
-//!   ([`merge_spend_bits`]) and re-granting each region its own spend
-//!   plus an equal share of the global headroom.
+//!   calling thread between rounds: it delivers cross-region messages to
+//!   the region index they name, and reconciles the cloud budget by
+//!   folding per-region spends in region order over exact `f64` bit
+//!   patterns ([`merge_spend_bits`]) and re-granting each region its own
+//!   spend plus an equal share of the global headroom.
 //!
 //! Cross-region flows follow the [`ShardMsg`] protocol: a deterministic
 //! per-mille of arrivals (a SplitMix64 finalizer over the request id —
 //! no RNG draws, so sharding never perturbs the workload substreams)
 //! transfer their first leg at the origin, then hand the remainder off
-//! to the destination region (`Handoff`, addressed to the destination's
-//! region gateway [`NodeAddr`]). The destination admits the ingress leg
-//! onto its own relays and replies `Done`, or bounces the flow back
-//! (`Retry`) for settlement on the origin's direct path. Every byte is
-//! accounted at the origin: the optional [`RemoteEvent`] ledger replays
-//! into `faults::Invariants` to prove conservation across handoffs and
-//! bounces.
+//! to the destination region (`Handoff`). The destination admits the
+//! ingress leg onto its own relays and replies `Done`, or bounces the
+//! flow back (`Retry`) for settlement on the origin's direct path. Every
+//! byte is accounted at the origin: the optional [`RemoteEvent`] ledger
+//! replays into `faults::Invariants` to prove conservation across
+//! handoffs and bounces.
 //!
 //! # Determinism
 //!
-//! A sharded run is a pure function of `(config, seed)` for **any**
-//! `(--shards, --threads)` combination: lanes use static shard
-//! assignment, mailboxes deliver in (sender shard, emission) order, the
-//! barrier folds in region order on one thread, and telemetry rides the
-//! `obs` unit-shard capture path. With one region the engine defers to
-//! the classic loop, byte for byte.
+//! A sharded run is a pure function of `(config, seed)` for **any** lane
+//! and thread count: a round's region steps are units of `exec`'s
+//! ordered fan-out, mailboxes deliver in (sender region, emission)
+//! order, the barrier folds in region order on one thread, and
+//! telemetry rides the `obs` unit-shard capture path. The CLI runs as
+//! many lanes as `--threads`. With one region the engine defers to the
+//! classic loop, byte for byte.
 
 use control::shard::{merge_spend_bits, publish_broker_stats, publish_fleet_stats};
 use control::{BrokerStats, FleetStats, ShardMsg, SloAccount};
-use routing::{GeoPrefix, GeoTable, NodeAddr};
 use simcore::rng::mix64;
 use simcore::SimDuration;
 
@@ -59,8 +57,7 @@ pub struct ShardedConfig {
     /// The per-region service configuration (every region runs an
     /// identical config under its own seed substream).
     pub service: ServiceConfig,
-    /// Number of regions (= control-plane shards), 1..=256. Region `r`
-    /// owns the hierarchical address block `[r >> 4][r & 0xF][*][*]`.
+    /// Number of regions (= control-plane shards), 1..=256.
     pub regions: u32,
     /// Per-mille of arrivals whose client lives in another region; those
     /// flows cross the shard boundary via the [`ShardMsg`] protocol.
@@ -92,8 +89,8 @@ impl ShardedConfig {
     }
 
     /// CI-sized planetary run: 8 regions × ~4 500 arrivals over 40 relay
-    /// slots each, small enough that the shard-invariance golden matrix
-    /// (shards × threads × seeds) stays cheap.
+    /// slots each, small enough that the lane-invariance golden matrix
+    /// (threads × seeds) stays cheap.
     #[must_use]
     pub fn planetary_smoke() -> ShardedConfig {
         let mut service = ServiceConfig::smoke();
@@ -110,8 +107,8 @@ impl ShardedConfig {
 
     /// The same total workload and relay estate folded into one region —
     /// the unsharded baseline the bench harness races the sharded engine
-    /// against. One broker scans `regions`-times-larger fleet groups per
-    /// admission probe, which is exactly the scaling wall PR 10 removes.
+    /// against. Free-slot lookups are O(1) at any group size, so what the
+    /// split buys is per-region state: ≈1.6× at one lane (DESIGN.md §16).
     #[must_use]
     pub fn monolithic(&self) -> ServiceConfig {
         let mut cfg = self.service.clone();
@@ -129,19 +126,18 @@ fn region_seed(seed: u64, region: u32) -> u64 {
     mix64(seed ^ (u64::from(region).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Runs the sharded service: `shards` worker lanes over
-/// `cfg.regions` region loops. Deterministic in `(cfg, seed)` at any
-/// `(shards, threads)`; with one region it defers to the classic
-/// [`service`] loop byte for byte.
+/// Runs the sharded service: `lanes` worker lanes over `cfg.regions`
+/// region loops. Deterministic in `(cfg, seed)` at any lane and thread
+/// count; with one region it defers to the classic [`service`] loop
+/// byte for byte.
 ///
 /// # Panics
 ///
-/// Panics on an inconsistent configuration: zero shards or regions,
-/// more than 256 regions (the address space's region field is 8 bits),
-/// or any `ServiceLoop` construction failure.
+/// Panics on an inconsistent configuration: zero lanes, a region count
+/// outside 1..=256, or any `ServiceLoop` construction failure.
 #[must_use]
-pub fn service_sharded(cfg: &ShardedConfig, seed: u64, shards: usize) -> ServiceReport {
-    service_sharded_with_ledgers(cfg, seed, shards, false).0
+pub fn service_sharded(cfg: &ShardedConfig, seed: u64, lanes: usize) -> ServiceReport {
+    service_sharded_with_ledgers(cfg, seed, lanes, false).0
 }
 
 /// [`service_sharded`] with the cross-region byte-conservation ledger
@@ -155,13 +151,13 @@ pub fn service_sharded(cfg: &ShardedConfig, seed: u64, shards: usize) -> Service
 pub fn service_sharded_with_ledgers(
     cfg: &ShardedConfig,
     seed: u64,
-    shards: usize,
+    lanes: usize,
     ledger: bool,
 ) -> (ServiceReport, Vec<Vec<RemoteEvent>>) {
-    assert!(shards >= 1, "at least one shard lane");
+    assert!(lanes >= 1, "at least one shard lane");
     assert!(
         (1..=256).contains(&cfg.regions),
-        "regions must fit the 8-bit region field (1..=256)"
+        "regions must be in 1..=256"
     );
     if cfg.regions == 1 {
         // One region is the classic loop; run it unchanged so the
@@ -170,16 +166,6 @@ pub fn service_sharded_with_ledgers(
     }
     let regions = cfg.regions as usize;
     let epochs = cfg.service.workload.epochs as usize;
-
-    // The routing table of the global layer: one region-granularity
-    // prefix per shard. Handoffs carry full [Geo1][Geo2][Group][Index]
-    // destinations; longest-prefix match owns the resolution.
-    let mut table = GeoTable::new();
-    for r in 0..cfg.regions {
-        table.insert(GeoPrefix::Region(r as u8), r);
-    }
-    table.build();
-    let table = &table;
 
     // Region loops are built in region order on the calling thread —
     // construction telemetry lands identically at any lane count.
@@ -205,7 +191,7 @@ pub fn service_sharded_with_ledgers(
     let global_budget = cfg.service.fleet.budget_usd * cfg.regions as f64;
     let states = exec::shard_rounds(
         states,
-        shards,
+        lanes,
         rounds,
         |_i, svc: &mut ServiceLoop, round, inbox: Vec<ShardMsg>| {
             if round < epochs {
@@ -219,16 +205,10 @@ pub fn service_sharded_with_ledgers(
             svc.take_outbox()
                 .into_iter()
                 .map(|m| {
-                    let dst = match &m {
-                        ShardMsg::Handoff { dst, .. } => table
-                            .lookup(NodeAddr::from_raw(*dst))
-                            .expect("handoff names an unrouted region")
-                            as usize,
-                        ShardMsg::Done { origin, .. } | ShardMsg::Retry { origin, .. } => {
-                            *origin as usize
-                        }
-                    };
-                    (dst, m)
+                    let (ShardMsg::Handoff { dst: to, .. }
+                    | ShardMsg::Done { origin: to, .. }
+                    | ShardMsg::Retry { origin: to, .. }) = m;
+                    (to as usize, m)
                 })
                 .collect()
         },
@@ -299,42 +279,74 @@ fn merge_service_reports(reports: &[ServiceReport], global_budget: f64) -> Servi
         })
         .collect();
 
-    let mut broker = BrokerStats::default();
-    let mut fleet = FleetStats::default();
-    let mut slo: Option<SloAccount> = None;
-    let mut arrivals = 0u64;
-    let mut completed = 0u64;
-    for rep in reports {
-        broker.absorb(&rep.broker);
-        fleet.absorb(&rep.fleet);
-        match &mut slo {
-            Some(s) => s.merge(&rep.slo),
-            None => slo = Some(rep.slo.clone()),
-        }
-        arrivals += rep.arrivals;
-        completed += rep.completed;
-    }
-    let slo = slo.expect("at least one region");
-    let spend_usd = merge_spend_bits(reports.iter().map(|rep| rep.spend_usd.to_bits()));
-
-    publish_broker_stats("control.", &broker);
-    publish_fleet_stats("control.", &fleet);
+    let Rollup {
+        broker,
+        fleet,
+        slo,
+        spend_usd,
+    } = Rollup::fold(
+        reports
+            .iter()
+            .map(|rep| (&rep.broker, &rep.fleet, &rep.slo, rep.spend_usd)),
+    );
     let last = rows.last().expect("at least one epoch");
     obs::set(obs::gauge("control.fleet.active"), last.active as f64);
     obs::set(obs::gauge("control.fleet.draining"), last.draining as f64);
     obs::set(obs::gauge("control.fleet.failed"), 0.0);
-    obs::set(obs::gauge("control.fleet.spend_usd"), spend_usd);
-    slo.publish_prefixed("control.");
 
     ServiceReport {
         rows,
         broker,
         fleet,
         slo,
-        arrivals,
-        completed,
+        arrivals: reports.iter().map(|rep| rep.arrivals).sum(),
+        completed: reports.iter().map(|rep| rep.completed).sum(),
         spend_usd,
         budget_usd: global_budget,
+    }
+}
+
+/// What both merged reports fold alike, in region order: broker and
+/// fleet counters absorbed, SLO ledgers merged, and spends summed over
+/// exact `f64` bits ([`merge_spend_bits`]).
+struct Rollup {
+    broker: BrokerStats,
+    fleet: FleetStats,
+    slo: SloAccount,
+    spend_usd: f64,
+}
+
+impl Rollup {
+    /// Folds the regions' `(broker, fleet, slo, spend)` and publishes the
+    /// merged `control.` counters, SLO ledger and spend gauge. Callers
+    /// add the gauges of their own last row.
+    fn fold<'a, I>(regions: I) -> Rollup
+    where
+        I: Iterator<Item = (&'a BrokerStats, &'a FleetStats, &'a SloAccount, f64)> + Clone,
+    {
+        let spend_usd = merge_spend_bits(regions.clone().map(|(.., spend)| spend.to_bits()));
+        let mut broker = BrokerStats::default();
+        let mut fleet = FleetStats::default();
+        let mut slo: Option<SloAccount> = None;
+        for (b, f, s, _) in regions {
+            broker.absorb(b);
+            fleet.absorb(f);
+            match &mut slo {
+                Some(merged) => merged.merge(s),
+                None => slo = Some(s.clone()),
+            }
+        }
+        let slo = slo.expect("at least one region");
+        publish_broker_stats("control.", &broker);
+        publish_fleet_stats("control.", &fleet);
+        obs::set(obs::gauge("control.fleet.spend_usd"), spend_usd);
+        slo.publish_prefixed("control.");
+        Rollup {
+            broker,
+            fleet,
+            slo,
+            spend_usd,
+        }
     }
 }
 
@@ -350,32 +362,29 @@ pub fn chaos_planetary(smoke: bool) -> (ChaosConfig, u32) {
     }
 }
 
-/// Runs `regions` independent regional chaos loops on `shards` worker
+/// Runs `regions` independent regional chaos loops on `lanes` worker
 /// lanes and folds them into one global report: counters absorb in
 /// region order, spans re-base onto one id stream, and attribution is
 /// recomputed over the merged stream. Regional faults stay regional —
 /// chaos shards share no flows, so the fan-out is pure; the global
 /// layer is the merge. Deterministic in `(cfg, regions, seed)` at any
-/// `(shards, threads)`; one region defers to the classic [`chaos`].
+/// lane and thread count; one region defers to the classic [`chaos`].
 ///
 /// # Panics
 ///
-/// Panics on zero shards or regions, more than 256 regions, or any
+/// Panics on zero lanes, a region count outside 1..=256, or any
 /// inconsistency [`chaos`] itself rejects.
 #[must_use]
-pub fn chaos_sharded(cfg: &ChaosConfig, regions: u32, seed: u64, shards: usize) -> ChaosReport {
-    assert!(shards >= 1, "at least one shard lane");
-    assert!(
-        (1..=256).contains(&regions),
-        "regions must fit the 8-bit region field (1..=256)"
-    );
+pub fn chaos_sharded(cfg: &ChaosConfig, regions: u32, seed: u64, lanes: usize) -> ChaosReport {
+    assert!(lanes >= 1, "at least one shard lane");
+    assert!((1..=256).contains(&regions), "regions must be in 1..=256");
     if regions == 1 {
         return chaos(cfg, seed);
     }
     let states: Vec<Option<ChaosReport>> = (0..regions).map(|_| None).collect();
     let states = exec::shard_rounds(
         states,
-        shards,
+        lanes,
         1,
         |r, slot: &mut Option<ChaosReport>, _round, _inbox: Vec<()>| {
             let rseed = region_seed(seed, r as u32);
@@ -436,9 +445,6 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
         })
         .collect();
 
-    let mut broker = BrokerStats::default();
-    let mut fleet = FleetStats::default();
-    let mut slo: Option<SloAccount> = None;
     let mut faults = faults::FaultCounts::default();
     let mut arrivals = 0u64;
     let mut killed = 0u64;
@@ -449,12 +455,6 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
     let mut spans = Vec::new();
     let mut off = 0u64;
     for rep in reports {
-        broker.absorb(&rep.broker);
-        fleet.absorb(&rep.fleet);
-        match &mut slo {
-            Some(s) => s.merge(&rep.slo),
-            None => slo = Some(rep.slo.clone()),
-        }
         faults.crashes += rep.faults.crashes;
         faults.restores += rep.faults.restores;
         faults.outages += rep.faults.outages;
@@ -481,17 +481,20 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
         }
         off = hi;
     }
-    let slo = slo.expect("at least one region");
-    let spend_usd = merge_spend_bits(reports.iter().map(|rep| rep.spend_usd.to_bits()));
     let attribution = Attribution::attribute(&spans);
-
-    publish_broker_stats("control.", &broker);
-    publish_fleet_stats("control.", &fleet);
+    let Rollup {
+        broker,
+        fleet,
+        slo,
+        spend_usd,
+    } = Rollup::fold(
+        reports
+            .iter()
+            .map(|rep| (&rep.broker, &rep.fleet, &rep.slo, rep.spend_usd)),
+    );
     let last = rows.last().expect("at least one epoch");
     obs::set(obs::gauge("control.fleet.active"), last.active as f64);
     obs::set(obs::gauge("control.fleet.failed"), last.failed as f64);
-    obs::set(obs::gauge("control.fleet.spend_usd"), spend_usd);
-    slo.publish_prefixed("control.");
 
     ChaosReport {
         rows,
@@ -607,10 +610,10 @@ mod tests {
     fn sharded_service_is_lane_invariant() {
         let cfg = tiny_sharded();
         let base = service_sharded(&cfg, 7, 1);
-        for shards in [2, 3, 8] {
-            let r = service_sharded(&cfg, 7, shards);
-            assert_eq!(r.to_tsv(), base.to_tsv(), "shards={shards}");
-            assert_eq!(format!("{r}"), format!("{base}"), "shards={shards}");
+        for lanes in [2, 3, 8] {
+            let r = service_sharded(&cfg, 7, lanes);
+            assert_eq!(r.to_tsv(), base.to_tsv(), "lanes={lanes}");
+            assert_eq!(format!("{r}"), format!("{base}"), "lanes={lanes}");
         }
     }
 
@@ -680,10 +683,10 @@ mod tests {
         cfg.service.workload.diurnal_period = cfg.service.workload.epoch * 4;
         cfg.faults.horizon = cfg.service.workload.horizon();
         let base = chaos_sharded(&cfg, 3, 7, 1);
-        for shards in [2, 3] {
-            let r = chaos_sharded(&cfg, 3, 7, shards);
-            assert_eq!(r.to_tsv(), base.to_tsv(), "shards={shards}");
-            assert_eq!(format!("{r}"), format!("{base}"), "shards={shards}");
+        for lanes in [2, 3] {
+            let r = chaos_sharded(&cfg, 3, 7, lanes);
+            assert_eq!(r.to_tsv(), base.to_tsv(), "lanes={lanes}");
+            assert_eq!(format!("{r}"), format!("{base}"), "lanes={lanes}");
         }
         assert!(base.faults.crashes > 0, "no region saw a crash");
         assert!(

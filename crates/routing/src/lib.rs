@@ -5,9 +5,6 @@
 //! account specific performance metrics". This crate implements exactly
 //! that behaviour:
 //!
-//! * [`addr`] — compact hierarchical `[Geo1][Geo2][Group][Index]` node
-//!   addressing ([`NodeAddr`]) with tiered geo-prefix lookup tables
-//!   ([`GeoTable`]) for the sharded control plane.
 //! * [`bgp`] — per-destination AS-level route selection under the
 //!   Gao–Rexford model: customer routes over peer routes over provider
 //!   routes, shortest AS path within a class, deterministic tie-break.
@@ -46,14 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod addr;
 pub mod bgp;
 pub mod cache;
 pub mod expand;
 pub mod path;
 pub mod traceroute;
 
-pub use addr::{GeoPrefix, GeoTable, NodeAddr};
 pub use bgp::{AsRoute, Bgp, RouteClass};
 pub use cache::RouteCache;
 pub use expand::{expand_as_path, intra_as_path, route};

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! `--threads N` sets the worker-pool size for the parallel sweep and
-//! DES stages (default: the machine's available parallelism). Output is
+//! DES stages, and the lane count of the `--planet` control plane
+//! (default: the machine's available parallelism). Output is
 //! byte-identical at every thread count: work is split into indexed
 //! units, seeded from `(seed, unit index)`, and merged in unit order.
 //!
@@ -98,7 +99,7 @@ const RESULTS_DIR: &str = "results";
 
 fn usage() {
     eprintln!(
-        "usage: cronets <experiment|list|all|report|fuzz|soak> [--seed N] [--threads N] [--smoke] [--planet] [--shards S] [--paths P] [--khops K] [--metrics] [--trace FLOW] [--spans] [--profile] [--budget N] [--resume CKPT] [--stop-after N]"
+        "usage: cronets <experiment|list|all|report|fuzz|soak> [--seed N] [--threads N] [--smoke] [--planet] [--paths P] [--khops K] [--metrics] [--trace FLOW] [--spans] [--profile] [--budget N] [--resume CKPT] [--stop-after N]"
     );
     eprintln!(
         "  --seed N      PRNG seed (default {})",
@@ -110,10 +111,8 @@ fn usage() {
     eprintln!("                soak)");
     eprintln!("  --planet      (service/chaos) planetary scale: the per-region");
     eprintln!("                control plane replicated over the region fabric");
-    eprintln!("                (64 regions full, 8 with --smoke)");
-    eprintln!("  --shards S    (service/chaos, with --planet) worker lanes for the");
-    eprintln!("                per-region shards, S >= 1 (default 1); output is");
-    eprintln!("                byte-identical for any (--shards, --threads)");
+    eprintln!("                (64 regions full, 8 with --smoke), its regions");
+    eprintln!("                stepped on --threads lanes");
     eprintln!("  --paths P     service/chaos path engine: onehop (default, the");
     eprintln!("                paper's probe-cache broker) or multihop (k-hop");
     eprintln!("                chains with online-bandit selection over --khops");
@@ -207,7 +206,7 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                 };
                 cfg.service.paths = opts.paths;
                 cfg.service.khops = opts.khops;
-                exp::sharded::service_sharded(&cfg, seed, opts.shards)
+                exp::sharded::service_sharded(&cfg, seed, exec::threads())
             } else {
                 let mut cfg = if opts.smoke {
                     exp::service::ServiceConfig::smoke()
@@ -232,7 +231,7 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                 let (mut cfg, regions) = exp::sharded::chaos_planetary(opts.smoke);
                 cfg.service.paths = opts.paths;
                 cfg.service.khops = opts.khops;
-                exp::sharded::chaos_sharded(&cfg, regions, seed, opts.shards)
+                exp::sharded::chaos_sharded(&cfg, regions, seed, exec::threads())
             } else {
                 let mut cfg = if opts.smoke {
                     exp::chaos::ChaosConfig::smoke()
@@ -309,8 +308,6 @@ struct Opts {
     /// `--planet`: run service/chaos at planetary scale on the sharded
     /// control plane.
     planet: bool,
-    /// `--shards S`: worker lanes for the sharded control plane.
-    shards: usize,
     spans: bool,
     profile: bool,
     paths: control::PathsPolicy,
@@ -330,7 +327,6 @@ impl Default for Opts {
             metrics: false,
             smoke: false,
             planet: false,
-            shards: 1,
             spans: false,
             profile: false,
             paths: control::PathsPolicy::OneHop,
@@ -599,14 +595,6 @@ fn main() -> ExitCode {
             "--metrics" => opts.metrics = true,
             "--smoke" => opts.smoke = true,
             "--planet" => opts.planet = true,
-            "--shards" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(s) if s >= 1 => opts.shards = s,
-                _ => {
-                    eprintln!("--shards needs a positive integer");
-                    usage();
-                    return ExitCode::FAILURE;
-                }
-            },
             "--paths" => match it
                 .next()
                 .map(String::as_str)
@@ -682,18 +670,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let cmd = cmd.as_str();
-    // The sharded control plane is a service/chaos DES engine: reject
-    // the planetary flags anywhere they cannot mean anything.
-    if (opts.planet || opts.shards > 1) && !matches!(cmd, "service" | "chaos") {
-        eprintln!("error: --planet/--shards only apply to cronets service and cronets chaos");
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if opts.shards > 1 && !opts.planet {
-        eprintln!(
-            "error: --shards needs --planet (the classic single-region run has \
-             nothing to shard; its output is already byte-identical at any --threads N)"
-        );
+    // The sharded control plane is a service/chaos engine: reject
+    // --planet anywhere it cannot mean anything.
+    if opts.planet && !matches!(cmd, "service" | "chaos") {
+        eprintln!("error: --planet only applies to cronets service and cronets chaos");
         usage();
         return ExitCode::FAILURE;
     }

@@ -162,7 +162,7 @@ fn cli_rejects_unknown_experiments_with_usage() {
 
 #[test]
 fn cli_rejects_unknown_flags_with_usage() {
-    for flag in ["--frobnicate", "--fidelity"] {
+    for flag in ["--frobnicate", "--fidelity", "--shards"] {
         let (ok, err) = run_cli(&["service", flag, "des"]);
         assert!(!ok, "unknown flag {flag} must exit non-zero");
         assert!(err.contains("unknown option"), "stderr: {err}");

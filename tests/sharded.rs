@@ -1,18 +1,18 @@
-//! Shard-count invariance: `--shards S` picks how many worker lanes the
-//! planetary control plane runs its per-region shards on, and — like
-//! `--threads N` — it must not change a single output byte. Per-region
-//! mailboxes deliver in (sender, emission) order at every epoch
-//! barrier, the budget reconciler folds spends in region order over
-//! exact `f64` bits, and telemetry merges in region order, so stdout,
-//! the metric snapshot (including the per-shard
-//! `control.shard<k>.broker.*` namespaces) and every results file must
-//! be byte-identical for any `(--shards, --threads)` combination.
+//! Lane invariance: the planetary control plane steps its per-region
+//! shards on `--threads N` lanes, and — like every other `--threads`
+//! run — it must not change a single output byte. Per-region mailboxes
+//! deliver in (sender, emission) order at every epoch barrier, the
+//! budget reconciler folds spends in region order over exact `f64`
+//! bits, and telemetry merges in region order, so stdout, the metric
+//! snapshot (including the per-shard `control.shard<k>.broker.*`
+//! namespaces) and every results file must be byte-identical at any
+//! thread count.
 //!
-//! These tests drive the real `cronets` binary as a subprocess over the
-//! golden matrix from the PR-10 acceptance list — shards {1, 4, 16} ×
-//! threads {1, 8} × seeds {7, 11, 13} — for the sharded service, the
-//! sharded chaos fabric, and the sharded multihop service, plus the
-//! strict-parse rejections for the planetary flags.
+//! These tests drive the real `cronets` binary as a subprocess over a
+//! golden matrix — threads {4, 8, 16} against threads 1 × seeds
+//! {7, 11, 13} — for the sharded service, the sharded chaos fabric, and
+//! the sharded multihop service, plus the strict-parse rejection of
+//! `--planet` outside service and chaos.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -68,111 +68,101 @@ fn read_results(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     files
 }
 
-/// One golden run of `experiment --planet --smoke` at a given shard and
-/// thread count: stdout plus the results files.
+/// One golden run of `experiment --planet --smoke` at a given thread
+/// count: stdout plus the results files.
 fn planet_run(
     tag: &str,
     experiment: &str,
     extra: &[&str],
     seed: u64,
-    shards: u32,
     threads: u32,
 ) -> (String, BTreeMap<String, Vec<u8>>) {
     let dir = scratch_dir(tag);
     let seed = seed.to_string();
-    let shards = shards.to_string();
     let threads = threads.to_string();
     let mut args = vec![experiment, "--planet", "--smoke", "--metrics"];
     args.extend_from_slice(extra);
-    args.extend_from_slice(&["--seed", &seed, "--shards", &shards, "--threads", &threads]);
+    args.extend_from_slice(&["--seed", &seed, "--threads", &threads]);
     let out = run_in(&dir, &args);
     (out, read_results(&dir))
 }
 
-/// Asserts the full golden matrix for one experiment: shards {1, 4, 16}
-/// × threads {1, 8}, each byte-identical to the `--shards 1 --threads 1`
-/// reference at that seed.
-fn assert_shard_invariant(experiment: &str, extra: &[&str], seed: u64) {
+/// Asserts the golden matrix for one experiment: threads {4, 8, 16},
+/// each byte-identical to the `--threads 1` reference at that seed.
+fn assert_lane_invariant(experiment: &str, extra: &[&str], seed: u64) {
     let (base_out, base_files) = planet_run(
-        &format!("{experiment}_{seed}_s1_t1"),
+        &format!("{experiment}_{seed}_t1"),
         experiment,
         extra,
         seed,
-        1,
         1,
     );
     assert!(
         base_out.contains("control.shard0.broker.admitted"),
         "{experiment} seed {seed}: per-shard counter namespace missing from snapshot"
     );
-    for shards in [1u32, 4, 16] {
-        for threads in [1u32, 8] {
-            if shards == 1 && threads == 1 {
-                continue;
-            }
-            let (out, files) = planet_run(
-                &format!("{experiment}_{seed}_s{shards}_t{threads}"),
-                experiment,
-                extra,
-                seed,
-                shards,
-                threads,
-            );
-            assert_eq!(
-                out, base_out,
-                "{experiment} seed {seed}: stdout differs at shards={shards} threads={threads}"
-            );
-            assert_eq!(
-                files, base_files,
-                "{experiment} seed {seed}: results differ at shards={shards} threads={threads}"
-            );
-        }
+    for threads in [4u32, 8, 16] {
+        let (out, files) = planet_run(
+            &format!("{experiment}_{seed}_t{threads}"),
+            experiment,
+            extra,
+            seed,
+            threads,
+        );
+        assert_eq!(
+            out, base_out,
+            "{experiment} seed {seed}: stdout differs at threads={threads}"
+        );
+        assert_eq!(
+            files, base_files,
+            "{experiment} seed {seed}: results differ at threads={threads}"
+        );
     }
 }
 
 #[test]
 fn sharded_service_matrix_seed7() {
-    assert_shard_invariant("service", &[], 7);
+    assert_lane_invariant("service", &[], 7);
 }
 
 #[test]
 fn sharded_service_matrix_seed11() {
-    assert_shard_invariant("service", &[], 11);
+    assert_lane_invariant("service", &[], 11);
 }
 
 #[test]
 fn sharded_service_matrix_seed13() {
-    assert_shard_invariant("service", &[], 13);
+    assert_lane_invariant("service", &[], 13);
 }
 
 #[test]
 fn sharded_chaos_matrix_seed7() {
-    assert_shard_invariant("chaos", &["--spans"], 7);
+    assert_lane_invariant("chaos", &["--spans"], 7);
 }
 
 #[test]
 fn sharded_chaos_matrix_seed11() {
-    assert_shard_invariant("chaos", &["--spans"], 11);
+    assert_lane_invariant("chaos", &["--spans"], 11);
 }
 
 #[test]
 fn sharded_chaos_matrix_seed13() {
-    assert_shard_invariant("chaos", &["--spans"], 13);
+    assert_lane_invariant("chaos", &["--spans"], 13);
 }
 
 #[test]
 fn sharded_multihop_matrix_seed7() {
-    assert_shard_invariant("service", &["--paths", "multihop"], 7);
+    assert_lane_invariant("service", &["--paths", "multihop"], 7);
 }
 
 #[test]
 fn sharded_multihop_matrix_seed11() {
-    assert_shard_invariant("service", &["--paths", "multihop"], 11);
+    assert_lane_invariant("service", &["--paths", "multihop"], 11);
 }
 
 #[test]
 fn sharded_multihop_matrix_seed13() {
-    assert_shard_invariant("service", &["--paths", "multihop"], 13);
+    assert_lane_invariant("service", &["--paths", "multihop"], 13);
 }
 
 /// Runs `cronets <args>`; expects a non-zero exit, the usage banner, and
@@ -200,42 +190,14 @@ fn assert_rejected(args: &[&str], needle: &str) {
 }
 
 #[test]
-fn shards_flag_rejects_zero() {
-    assert_rejected(
-        &["service", "--planet", "--smoke", "--shards", "0"],
-        "--shards needs a positive integer",
-    );
-}
-
-#[test]
-fn shards_flag_rejects_non_numeric() {
-    assert_rejected(
-        &["service", "--planet", "--smoke", "--shards", "many"],
-        "--shards needs a positive integer",
-    );
-    assert_rejected(
-        &["service", "--planet", "--smoke", "--shards"],
-        "--shards needs a positive integer",
-    );
-}
-
-#[test]
 fn planet_flags_reject_other_commands() {
     assert_rejected(
         &["fig2", "--planet"],
-        "--planet/--shards only apply to cronets service and cronets chaos",
+        "--planet only applies to cronets service and cronets chaos",
     );
     assert_rejected(
-        &["soak", "--smoke", "--shards", "4"],
-        "--planet/--shards only apply to cronets service and cronets chaos",
-    );
-}
-
-#[test]
-fn shards_flag_requires_planet() {
-    assert_rejected(
-        &["service", "--smoke", "--shards", "4"],
-        "--shards needs --planet",
+        &["soak", "--smoke", "--planet"],
+        "--planet only applies to cronets service and cronets chaos",
     );
 }
 
@@ -273,7 +235,7 @@ fn summary_counts(stdout: &str) -> (u64, u64, u64) {
 /// ends either completed or denied, so the summary's two counts add up
 /// to the arrivals.
 fn assert_rollup(experiment: &str) {
-    let (out, _) = planet_run(&format!("rollup_{experiment}"), experiment, &[], 7, 4, 1);
+    let (out, _) = planet_run(&format!("rollup_{experiment}"), experiment, &[], 7, 4);
     let counters = control_counters(&out);
     let mut sums: BTreeMap<&str, f64> = BTreeMap::new();
     for shard in 0.. {
