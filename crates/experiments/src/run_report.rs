@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, BufRead as _};
 use std::path::Path;
 
 use obs::{SpanKind, SpanRecord};
@@ -168,9 +168,31 @@ pub fn assemble(dir: impl AsRef<Path>) -> io::Result<RunReport> {
     };
     names.sort();
 
-    let mut slow: Vec<SlowFlow> = Vec::new();
     for name in &names {
         let path = dir.join(name);
+        if name.starts_with("spans_") && name.ends_with(".tsv") {
+            // Streamed: a span file can hold millions of rows.
+            let Ok((rows, top)) = scan_spans(&path) else {
+                continue;
+            };
+            let stem = name.trim_end_matches(".tsv").to_string();
+            for (latency_ns, flow, bytes) in top {
+                let s = SlowFlow {
+                    source: stem.clone(),
+                    flow,
+                    latency_ns,
+                    bytes,
+                };
+                keep_slowest(&mut report.slow_flows, s, |a, b| {
+                    b.latency_ns
+                        .cmp(&a.latency_ns)
+                        .then(a.flow.cmp(&b.flow))
+                        .then(a.source.cmp(&b.source))
+                });
+            }
+            report.span_files.push((stem, rows));
+            continue;
+        }
         let Ok(body) = fs::read_to_string(&path) else {
             continue;
         };
@@ -178,20 +200,6 @@ pub fn assemble(dir: impl AsRef<Path>) -> io::Result<RunReport> {
             report.runs.push(parse_manifest(&body));
         } else if name == "attribution.tsv" {
             report.attribution = parse_attribution(&body);
-        } else if name.starts_with("spans_") && name.ends_with(".tsv") {
-            let stem = name.trim_end_matches(".tsv").to_string();
-            let spans: Vec<SpanRecord> = body.lines().filter_map(SpanRecord::from_tsv).collect();
-            for s in &spans {
-                if s.kind == SpanKind::FlowComplete {
-                    slow.push(SlowFlow {
-                        source: stem.clone(),
-                        flow: s.subject,
-                        latency_ns: s.a,
-                        bytes: s.b,
-                    });
-                }
-            }
-            report.span_files.push((stem, spans.len()));
         } else if name.starts_with("profile_") && name.ends_with(".folded") {
             let stem = name.trim_end_matches(".folded").to_string();
             let mut lines: Vec<ProfileLine> = body
@@ -209,16 +217,54 @@ pub fn assemble(dir: impl AsRef<Path>) -> io::Result<RunReport> {
             report.profiles.push((stem, lines));
         }
     }
-    // Slowest first; flow id then source break latency ties.
-    slow.sort_by(|a, b| {
-        b.latency_ns
-            .cmp(&a.latency_ns)
-            .then(a.flow.cmp(&b.flow))
-            .then(a.source.cmp(&b.source))
-    });
-    slow.truncate(TOP_FLOWS);
-    report.slow_flows = slow;
     Ok(report)
+}
+
+/// Inserts `item` into `top`, kept sorted by `cmp` and at most
+/// [`TOP_FLOWS`] long, after any equal item: the bounded form of a
+/// stable sort of every item followed by a truncation.
+fn keep_slowest<T>(top: &mut Vec<T>, item: T, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    let at = top.partition_point(|x| cmp(x, &item).is_le());
+    if at < TOP_FLOWS {
+        top.insert(at, item);
+        top.truncate(TOP_FLOWS);
+    }
+}
+
+/// One completion of a span file: `(latency_ns, flow, bytes)`.
+type Completion = (u64, u64, u64);
+
+/// Reads one span file line by line: the number of rows that parse as
+/// spans, and the file's [`TOP_FLOWS`] slowest completions, slowest
+/// first, flow id then row order breaking ties. Fails, like
+/// `fs::read_to_string`, on a read error or on bytes that are not
+/// UTF-8, so such a file is skipped whole.
+fn scan_spans(path: &Path) -> io::Result<(usize, Vec<Completion>)> {
+    let mut file = io::BufReader::with_capacity(1 << 16, fs::File::open(path)?);
+    let (mut rows, mut top) = (0, Vec::new());
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if file.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // `str::lines`: a line ends at `\n` or `\r\n`.
+        let line = line
+            .strip_suffix('\n')
+            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+        let Some(s) = SpanRecord::from_tsv(line) else {
+            continue;
+        };
+        rows += 1;
+        if s.kind == SpanKind::FlowComplete {
+            keep_slowest(&mut top, (s.a, s.subject, s.b), |x, y| {
+                y.0.cmp(&x.0).then(x.1.cmp(&y.1))
+            });
+        }
+    }
+    Ok((rows, top))
 }
 
 /// Parses one `manifest_*.tsv` body (`run` / `phase` / `metric` rows).
@@ -604,6 +650,120 @@ mod tests {
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.to_openmetrics(), b.to_openmetrics());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The sort-everything top list the streamed scan replaced: every
+    /// completion of every file, in file order, stably sorted.
+    fn slowest_by_full_sort(files: &[(&str, &[u8])]) -> Vec<SlowFlow> {
+        let mut slow = Vec::new();
+        for (name, body) in files {
+            let Ok(body) = std::str::from_utf8(body) else {
+                continue;
+            };
+            for s in body.lines().filter_map(SpanRecord::from_tsv) {
+                if s.kind == SpanKind::FlowComplete {
+                    slow.push(SlowFlow {
+                        source: name.trim_end_matches(".tsv").to_string(),
+                        flow: s.subject,
+                        latency_ns: s.a,
+                        bytes: s.b,
+                    });
+                }
+            }
+        }
+        slow.sort_by(|a, b| {
+            b.latency_ns
+                .cmp(&a.latency_ns)
+                .then(a.flow.cmp(&b.flow))
+                .then(a.source.cmp(&b.source))
+        });
+        slow.truncate(TOP_FLOWS);
+        slow
+    }
+
+    /// One completion row (plus an arrival row before it).
+    fn completion(id: u64, flow: u64, latency: u64, bytes: u64) -> String {
+        format!(
+            "{id}\t{id}\t0\tflow_arrive\t{flow}\t0\t{bytes}\n\
+             {id}\t{}\t{id}\tflow_complete\t{flow}\t{latency}\t{bytes}\n",
+            id + 1
+        )
+    }
+
+    #[test]
+    fn streamed_top_flows_match_the_full_sort() {
+        let header = "# t_ns\tid\tparent\tkind\tsubject\ta\tb\n";
+        // Crafted ties: one latency for several flows in one file, one
+        // (latency, flow) twice in one file with other bytes, straddling
+        // the cut, and the same (latency, flow) in two files; a CRLF
+        // line; a file that is not UTF-8 after a row that would top the
+        // list.
+        let mut a = String::from(header);
+        for (i, (flow, latency, bytes)) in [
+            (5, 900, 1),
+            (3, 900, 2),
+            (3, 900, 3),
+            (9, 100, 4),
+            (8, 950, 5),
+            (2, 950, 6),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            a.push_str(&completion(10 * i as u64 + 1, flow, latency, bytes));
+        }
+        a.push_str("7\t99\t0\tflow_complete\t1\t900\t7\r\n");
+        let mut b = String::from(header);
+        b.push_str(&completion(1, 3, 900, 8));
+        b.push_str(&completion(3, 2, 950, 9));
+        b.push_str("not a span\n");
+        let mut bad = completion(1, 1, u64::MAX, 10).into_bytes();
+        bad.extend_from_slice(b"\xff\xfe\n");
+        let crafted: Vec<(String, Vec<u8>)> = vec![
+            ("spans_a.tsv".into(), a.into_bytes()),
+            ("spans_a-b.tsv".into(), b.into_bytes()),
+            ("spans_bad.tsv".into(), bad),
+        ];
+        // Pseudo-random streams over few latencies and flows, so ties
+        // run across files and within them.
+        let mut x = 11u64;
+        let mut streams = vec![crafted];
+        for round in 0..20 {
+            let files = (0..1 + round % 4)
+                .map(|f| {
+                    let mut body = String::from(header);
+                    for id in 0..(round * 7 + f * 3) as u64 {
+                        x = simcore::rng::mix64(x);
+                        body.push_str(&completion(2 * id + 1, x % 5, (x >> 8) % 4, x >> 40));
+                    }
+                    (format!("spans_r{f}.tsv"), body.into_bytes())
+                })
+                .collect();
+            streams.push(files);
+        }
+        for (i, files) in streams.iter().enumerate() {
+            let dir = fixture_dir(&format!("topk_{i}"));
+            for (name, body) in files {
+                fs::write(dir.join(name), body).unwrap();
+            }
+            let mut sorted: Vec<(&str, &[u8])> = files
+                .iter()
+                .map(|(n, b)| (n.as_str(), b.as_slice()))
+                .collect();
+            sorted.sort();
+            let r = assemble(&dir).unwrap();
+            assert_eq!(r.slow_flows, slowest_by_full_sort(&sorted), "stream {i}");
+            let counts: Vec<(String, usize)> = sorted
+                .iter()
+                .filter_map(|(name, body)| {
+                    let body = std::str::from_utf8(body).ok()?;
+                    let n = body.lines().filter_map(SpanRecord::from_tsv).count();
+                    Some((name.trim_end_matches(".tsv").to_string(), n))
+                })
+                .collect();
+            assert_eq!(r.span_files, counts, "stream {i}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!
 //! [`write_tsv`] is the shared file shape (`# `-prefixed header line,
 //! then one row per line) used by the experiment exports, span streams,
-//! and attribution tables.
+//! and attribution tables; [`TsvFile`] writes the same shape row by row.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Escapes one TSV cell: `\t`, `\n`, `\r` and `\\` become two-character
@@ -137,18 +138,52 @@ pub fn write_tsv(
     header: &str,
     rows: impl IntoIterator<Item = String>,
 ) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    let mut body = String::new();
-    body.push_str("# ");
-    body.push_str(header);
-    body.push('\n');
+    let mut file = TsvFile::create(dir, name, header)?;
     for row in rows {
-        body.push_str(&row);
-        body.push('\n');
+        file.row(row)?;
     }
-    fs::write(&path, body)?;
-    Ok(path)
+    file.finish()
+}
+
+/// A TSV file written row by row, in [`write_tsv`]'s shape, so a
+/// producer can stream rows out without holding them.
+pub struct TsvFile {
+    path: PathBuf,
+    out: io::BufWriter<fs::File>,
+}
+
+impl TsvFile {
+    /// Creates `dir` if needed and `dir/name` with its `# header` line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn create(dir: &Path, name: &str, header: &str) -> io::Result<TsvFile> {
+        fs::create_dir_all(dir)?;
+        let path = dir.join(name);
+        let mut out = io::BufWriter::with_capacity(1 << 16, fs::File::create(&path)?);
+        writeln!(out, "# {header}")?;
+        Ok(TsvFile { path, out })
+    }
+
+    /// Appends one (already formatted, escaped) row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn row(&mut self, row: impl fmt::Display) -> io::Result<()> {
+        writeln!(self.out, "{row}")
+    }
+
+    /// Flushes the file and returns its path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn finish(mut self) -> io::Result<PathBuf> {
+        self.out.flush()?;
+        Ok(self.path)
+    }
 }
 
 #[cfg(test)]
