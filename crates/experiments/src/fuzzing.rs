@@ -8,8 +8,8 @@
 //! 1. picks a corpus entry (seeded with the empty schedule and the
 //!    generator's own output for the frame),
 //! 2. mutates it structurally ([`fuzz::mutate`](fn@fuzz::mutate)),
-//! 3. renders and runs it through [`chaos_with_schedule`] with metrics
-//!    collection on,
+//! 3. renders and runs it through [`chaos_with_sink`] (dropping its
+//!    spans) with metrics collection on,
 //! 4. harvests the published `control.broker.*` / `control.fleet.*` /
 //!    `faults.*` counters into a [`fuzz::CoverageMap`] — a schedule
 //!    that lights a new (counter × log2-bucket) feature joins the
@@ -29,7 +29,7 @@ use std::fmt;
 use fuzz::{ddmin, mutate, CoverageMap, ScheduleIr};
 use simcore::SimRng;
 
-use crate::chaos::{chaos_with_schedule, ChaosConfig};
+use crate::chaos::{chaos_with_sink, ChaosConfig};
 
 /// RNG stream label for the fuzzer's own draws.
 const STREAM_FUZZ: u64 = 0xF022;
@@ -165,7 +165,7 @@ fn run_one(
     cov: &mut CoverageMap,
 ) -> (usize, Vec<faults::Violation>) {
     obs::enable();
-    let report = chaos_with_schedule(cfg, seed, schedule);
+    let report = chaos_with_sink(cfg, seed, schedule, &mut |_| {});
     let snap = obs::snapshot();
     obs::disable();
     (cov.harvest_tsv(&snap.to_tsv()), report.invariant_violations)
@@ -238,7 +238,7 @@ pub fn fuzz_campaign(fcfg: &FuzzConfig, seed: u64) -> FuzzReport {
             // Shrink: the same violation kind must survive the subset.
             let (mut min, probes) = ddmin(&ir, |cand| {
                 let Ok(s) = cand.render() else { return false };
-                let r = chaos_with_schedule(&cfg, seed, &s);
+                let r = chaos_with_sink(&cfg, seed, &s, &mut |_| {});
                 r.invariant_violations
                     .iter()
                     .any(|v| std::mem::discriminant(&v.kind) == std::mem::discriminant(&want))

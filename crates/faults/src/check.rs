@@ -33,11 +33,8 @@
 //! holds a byte ledger from its request until it completes or is
 //! denied, and then shrinks to one bit (see [`Invariants`]).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use control::RelayState;
-use simcore::rng::mix64;
+use simcore::rng::Mix64Map;
 use simcore::{SimDuration, SimTime};
 
 /// One detected violation of a system invariant (the *kind*; see
@@ -205,30 +202,6 @@ struct Ledger {
     requested: u64,
     accounted: u64,
 }
-
-/// Hashes the checker's `u64` keys with the SplitMix64 finalizer. The
-/// keys are flow ids and page numbers the run itself made, and nothing
-/// iterates the maps, so a keyed hash buys nothing here.
-#[derive(Debug, Default)]
-struct Mix64Hasher(u64);
-
-impl Hasher for Mix64Hasher {
-    fn finish(&self) -> u64 {
-        mix64(self.0)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type Mix64Map<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
 
 /// Ids per page of [`TerminalBits`]: a service epoch's `seq` and a
 /// sharded run's per-region ids count up from 0, so their pages fill
@@ -542,6 +515,8 @@ impl Invariants {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use simcore::rng::SimRng;
 

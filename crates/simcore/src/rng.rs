@@ -47,6 +47,33 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Hashes `u64` keys with [`mix64`]. For maps keyed by ids the program
+/// made itself (flow ids, page numbers) whose iteration order nothing
+/// reads: a keyed hash buys nothing there, and SipHash costs several
+/// times as much per lookup.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Mix64Hasher(u64);
+
+impl std::hash::Hasher for Mix64Hasher {
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A map from program-made `u64` ids, hashed by [`Mix64Hasher`].
+pub type Mix64Map<V> =
+    std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<Mix64Hasher>>;
+
 /// One SplitMix64 step: decorrelates related seeds.
 fn splitmix64(z: u64) -> u64 {
     mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
